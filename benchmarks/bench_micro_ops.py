@@ -23,7 +23,7 @@ from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.sim.engine import run_join
 from repro.storage.disk import SimulatedDisk
-from repro.storage.runs import SortedRun, key_merge_iterator
+from repro.storage.runs import SortedRun, vectorized_run_merge
 from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
 from repro.workloads.generator import WorkloadSpec, make_relation_pair
 
@@ -80,7 +80,7 @@ def test_kway_merge_throughput(benchmark):
         runs.append(SortedRun(block=block, origin=i))
 
     def run():
-        return sum(1 for _ in key_merge_iterator(runs, disk))
+        return len(vectorized_run_merge(runs, disk))
 
     assert benchmark(run) == 4000
 
@@ -138,14 +138,15 @@ def _delivery_run(rel_a, rel_b, batch_delivery: bool) -> int:
 
 
 def test_kernel_batched_delivery_throughput(benchmark):
-    # Run-batch delivery: maximal arrival runs through on_tuple_batch.
+    # Run-batch delivery: maximal arrival runs reach HMJ as column
+    # arrays (on_column_batch).
     spec = WorkloadSpec(n_a=4000, n_b=4000, key_range=8000, seed=9)
     rel_a, rel_b = make_relation_pair(spec)
     assert benchmark(lambda: _delivery_run(rel_a, rel_b, True)) > 0
 
 
 def test_kernel_per_tuple_delivery_throughput(benchmark):
-    # The per-event baseline batched delivery is measured against; the
+    # The per-event reference batched delivery is measured against; the
     # tracked ratio lives in BENCH_kernel.json (repro.bench.kernel).
     spec = WorkloadSpec(n_a=4000, n_b=4000, key_range=8000, seed=9)
     rel_a, rel_b = make_relation_pair(spec)

@@ -1,20 +1,19 @@
 """Kernel delivery-path micro-benchmark (``BENCH_kernel.json``).
 
-Measures what the run-batch delivery paths are worth: constant-rate HMJ
-runs — ample memory, so nothing flushes and the wall clock is dominated
-by per-tuple dispatch, the thing batching amortises — executed through
-all three kernel paths:
+Measures what run-batch delivery is worth: constant-rate HMJ runs —
+ample memory, so nothing flushes and the wall clock is dominated by
+per-tuple dispatch, the thing batching amortises — executed through
+both kernel delivery paths:
 
-* ``per_tuple`` — one heap pop/push round-trip per arrival;
-* ``batched`` — merged arrival runs delivered as boxed-tuple lists
-  (the fused path);
-* ``columnar`` — the same runs delivered as :class:`~repro.core.
+* ``per_tuple`` — one heap pop/push round-trip per arrival, each
+  tuple through ``on_tuple`` (the reference);
+* ``columnar`` — merged arrival runs delivered as :class:`~repro.core.
   columnar.ColumnBatch` arrays end-to-end (vectorized run extraction,
   array-native probe/insert, column-slice metrics appends).
 
-Every path must produce the identical ``(count, final clock, page
+Both paths must produce the identical ``(count, final clock, page
 I/O)`` triple — delivery is an amortisation, never a simulation change
-— and the wall-clock ratios are the tracked speedups.  Two scale
+— and the wall-clock ratio is the tracked speedup.  Two scale
 points are recorded by default: the 100k-tuple point (trajectory
 continuity with earlier manifests) and the paper-nominal 1M-tuple
 point (10^6 tuples per figure in Section 6).
@@ -23,14 +22,15 @@ A second, memory-constrained point isolates the merge phase itself:
 a :class:`~repro.core.merging.MergeScheduler` is pre-loaded with a
 fully-flushed run history (the regime where memory held ~10% of the
 input and everything spilled), then the k-way join-while-merging drain
-is timed through both merge paths — the scalar per-tuple generator and
-the vectorized columnar pass.  The columnar path must beat the scalar
+is timed through both merge passes — the scalar per-tuple reference
+(:class:`~repro.testing.scalar_merge.ScalarMergeScheduler`) and the
+production columnar pass.  The columnar pass must beat the scalar
 oracle by at least :data:`MERGE_SPEEDUP_GATE` on identical triples,
 with at least :data:`MERGE_FLUSHED_FLOOR` of the input flushed; both
 are enforced gates, not advisory numbers.
 
 Optionally (``--figure-check``) one full figure scenario is also run
-through all three paths, cell by cell, and any triple mismatch fails
+through both paths, cell by cell, and any triple mismatch fails
 the process — CI's cheap end-to-end equivalence gate.
 
 Usage::
@@ -55,7 +55,7 @@ from repro.bench.runner import execute
 from repro.bench.scale import BenchScale
 from repro.core.config import HMJConfig
 from repro.core.hmj import HashMergeJoin
-from repro.core.merging import MERGE_PATHS, MergeScheduler
+from repro.core.merging import MergeScheduler
 from repro.joins.pmj import ProgressiveMergeJoin
 from repro.joins.xjoin import XJoin
 from repro.metrics.recorder import MetricsRecorder
@@ -66,13 +66,8 @@ from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.sim.engine import run_join
 from repro.storage.disk import SimulatedDisk
-from repro.storage.tuples import (
-    SOURCE_A,
-    SOURCE_B,
-    Relation,
-    Tuple,
-    make_result,
-)
+from repro.storage.tuples import SOURCE_A, SOURCE_B, Relation, Tuple
+from repro.testing.scalar_merge import ScalarMergeScheduler
 from repro.workloads.generator import make_relation_pair
 
 #: The fast-and-reliable arrival rate every figure uses (tuples/s).
@@ -82,12 +77,15 @@ RATE = 5000.0
 #: pinned determinism triples are captured at.
 CHECK_SCALE = BenchScale(n_per_source=400, seed=7)
 
-#: The benchmarked delivery paths: label -> (batch_delivery,
-#: columnar_delivery) engine switches, slowest first.
-PATHS: dict[str, tuple[bool, bool]] = {
-    "per_tuple": (False, False),
-    "batched": (True, False),
-    "columnar": (True, True),
+#: The benchmarked delivery paths: label -> the engine's
+#: ``batch_delivery`` switch, slowest first.  Batched runs reach HMJ as
+#: column arrays (the engine picks columnar delivery itself).
+PATHS: dict[str, bool] = {"per_tuple": False, "columnar": True}
+
+#: The merge-heavy point's two passes: label -> scheduler class.
+MERGE_SCHEDULERS: dict[str, type[MergeScheduler]] = {
+    "scalar": ScalarMergeScheduler,
+    "columnar": MergeScheduler,
 }
 
 #: Default scale points: the historical 100k point plus the paper's
@@ -123,7 +121,6 @@ def kernel_run(
     rel_b: Relation,
     memory_capacity: int,
     batch_delivery: bool,
-    columnar_delivery: bool = False,
 ) -> tuple[Triple, float]:
     """One timed constant-rate HMJ run through the chosen path.
 
@@ -145,7 +142,6 @@ def kernel_run(
             operator,
             keep_results=False,
             batch_delivery=batch_delivery,
-            columnar_delivery=columnar_delivery,
         )
         wall = time.perf_counter() - start
     finally:
@@ -171,13 +167,13 @@ def _sorted_run(
 
 
 def _merge_scheduler(
-    merge_path: str, tuples_total: int, seed: int
+    kind: str, tuples_total: int, seed: int
 ) -> tuple[MergeScheduler, VirtualClock, SimulatedDisk, MetricsRecorder]:
     """A scheduler pre-loaded with a fully-flushed run history.
 
     This reproduces the state HMJ reaches when memory held ~10% of the
     input: every tuple was flushed to a sorted disk run and all join
-    work is left for the k-way merge phase.  Both merge paths get the
+    work is left for the k-way merge phase.  Both merge passes get the
     byte-identical history (same seed, same boxed registration path),
     so the timed drain below compares only the merge kernels.
     """
@@ -185,14 +181,13 @@ def _merge_scheduler(
     disk = SimulatedDisk(clock, CostModel())
     recorder = MetricsRecorder(clock, disk, keep_results=False)
     shape = MERGE_SHAPE
-    scheduler = MergeScheduler(
+    scheduler = MERGE_SCHEDULERS[kind](
         disk=disk,
         clock=clock,
         costs=disk.costs,
         partition_prefix="bench-merge",
         fan_in=shape["fan_in"],
         n_groups=shape["n_groups"],
-        merge_path=merge_path,
         recorder=recorder,
     )
     rng = random.Random(seed)
@@ -210,21 +205,15 @@ def _merge_scheduler(
     return scheduler, clock, disk, recorder
 
 
-def merge_run(merge_path: str, tuples_total: int, seed: int) -> tuple[Triple, float, int]:
-    """One timed full drain of the merge-heavy history through one path."""
-    scheduler, clock, disk, recorder = _merge_scheduler(merge_path, tuples_total, seed)
-    costs = disk.costs
-
-    def emit(a, b):  # the scalar path's per-result charge+record shape
-        clock.advance(costs.result_time(1))
-        recorder.record(make_result(a, b), "merging")
-
+def merge_run(kind: str, tuples_total: int, seed: int) -> tuple[Triple, float, int]:
+    """One timed full drain of the merge-heavy history through one pass."""
+    scheduler, clock, disk, recorder = _merge_scheduler(kind, tuples_total, seed)
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         start = time.perf_counter()
-        scheduler.work(WorkBudget.unbounded(clock), emit)
+        scheduler.work(WorkBudget.unbounded(clock))
         wall = time.perf_counter() - start
     finally:
         if was_enabled:
@@ -234,23 +223,23 @@ def merge_run(merge_path: str, tuples_total: int, seed: int) -> tuple[Triple, fl
 
 
 def merge_point(tuples_total: int, repeats: int, seed: int) -> dict:
-    """Benchmark the join-while-merging drain through both merge paths.
+    """Benchmark the join-while-merging drain through both merge passes.
 
     The scalar generator is the conformance oracle; the columnar pass
     must reproduce its triple exactly and beat its wall clock by at
     least :data:`MERGE_SPEEDUP_GATE`.  Gate outcomes are part of the
     payload so the tracked artifact shows *why* a run failed.
     """
-    walls: dict[str, list[float]] = {path: [] for path in MERGE_PATHS}
+    walls: dict[str, list[float]] = {kind: [] for kind in MERGE_SCHEDULERS}
     triples: dict[str, Triple] = {}
     flushed = 0
     for _ in range(repeats):
-        for path in MERGE_PATHS:
-            triple, wall, flushed = merge_run(path, tuples_total, seed)
-            walls[path].append(wall)
-            previous = triples.setdefault(path, triple)
-            assert previous == triple, f"non-deterministic {path} merge drain"
-    best = {path: min(times) for path, times in walls.items()}
+        for kind in MERGE_SCHEDULERS:
+            triple, wall, flushed = merge_run(kind, tuples_total, seed)
+            walls[kind].append(wall)
+            previous = triples.setdefault(kind, triple)
+            assert previous == triple, f"non-deterministic {kind} merge drain"
+    best = {kind: min(times) for kind, times in walls.items()}
     flushed_fraction = flushed / tuples_total
     speedup = best["scalar"] / best["columnar"]
     triples_match = len(set(triples.values())) == 1
@@ -269,11 +258,11 @@ def merge_point(tuples_total: int, repeats: int, seed: int) -> dict:
         },
         "repeats": repeats,
         **{
-            path: {
-                "wall_seconds": round(best[path], 6),
-                "walls": [round(w, 6) for w in walls[path]],
+            kind: {
+                "wall_seconds": round(best[kind], 6),
+                "walls": [round(w, 6) for w in walls[kind]],
             }
-            for path in MERGE_PATHS
+            for kind in MERGE_SCHEDULERS
         },
         "speedup_merge": round(speedup, 4),
         "triple": {
@@ -299,7 +288,7 @@ def _check_operators(memory: int) -> dict[str, Callable]:
 
 
 def figure_check(figure_id: str) -> dict:
-    """Run one figure scenario's cells through all three delivery paths.
+    """Run one figure scenario's cells through both delivery paths.
 
     Returns the per-cell triples and whether every path agreed; the
     CLI fails the process on any mismatch.  Currently supports
@@ -315,7 +304,7 @@ def figure_check(figure_id: str) -> dict:
     all_match = True
     for cell_id, make_operator in _check_operators(memory).items():
         triples: dict[str, Triple] = {}
-        for label, (batched, columnar) in PATHS.items():
+        for label, batched in PATHS.items():
             result = execute(
                 rel_a,
                 rel_b,
@@ -323,7 +312,6 @@ def figure_check(figure_id: str) -> dict:
                 ConstantRate(RATE),
                 ConstantRate(RATE),
                 batch_delivery=batched,
-                columnar_delivery=columnar,
             )
             triples[label] = _triple(result)
         match = len(set(triples.values())) == 1
@@ -341,7 +329,7 @@ def figure_check(figure_id: str) -> dict:
 
 
 def kernel_point(tuples_total: int, repeats: int, seed: int) -> dict:
-    """Benchmark all three delivery paths at one scale point.
+    """Benchmark both delivery paths at one scale point.
 
     Wall seconds are the best of ``repeats`` (the usual
     micro-benchmark noise floor), and the identical-triple invariant
@@ -357,8 +345,8 @@ def kernel_point(tuples_total: int, repeats: int, seed: int) -> dict:
     walls: dict[str, list[float]] = {label: [] for label in PATHS}
     triples: dict[str, Triple] = {}
     for _ in range(repeats):
-        for label, (batched, columnar) in PATHS.items():
-            triple, wall = kernel_run(rel_a, rel_b, memory, batched, columnar)
+        for label, batched in PATHS.items():
+            triple, wall = kernel_run(rel_a, rel_b, memory, batched)
             walls[label].append(wall)
             previous = triples.setdefault(label, triple)
             assert previous == triple, f"non-deterministic {label} run"
@@ -380,13 +368,8 @@ def kernel_point(tuples_total: int, repeats: int, seed: int) -> dict:
             }
             for label in PATHS
         },
-        # per-tuple -> fused: the historical tracked ratio.
-        "speedup": round(best["per_tuple"] / best["batched"], 4),
-        # fused -> columnar: the columnar data plane's own ratio (the
-        # >= 3x merge gate at the 1M point).
-        "speedup_columnar": round(best["batched"] / best["columnar"], 4),
         # per-tuple -> columnar: the end-to-end amortisation.
-        "speedup_columnar_total": round(best["per_tuple"] / best["columnar"], 4),
+        "speedup": round(best["per_tuple"] / best["columnar"], 4),
         "triple": {
             "count": triples["per_tuple"][0],
             "final_clock": triples["per_tuple"][1],
@@ -405,8 +388,8 @@ def kernel_manifest(
     """Benchmark every scale point; the ``BENCH_kernel.json`` payload.
 
     Schema v1, mirroring ``BENCH_figures.json``: one entry per scale
-    point under ``points``, each holding the three paths' walls and
-    the pairwise speedups.  ``merge`` holds the memory-constrained
+    point under ``points``, each holding both paths' walls and the
+    per-tuple-over-columnar speedup.  ``merge`` holds the memory-constrained
     merge-heavy point (scalar vs columnar drain) unless disabled with
     ``merge_tuples=0``.
     """
@@ -426,7 +409,7 @@ def kernel_manifest(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark per-tuple vs batched vs columnar kernel delivery."
+        description="Benchmark per-tuple vs columnar kernel delivery."
     )
     parser.add_argument(
         "--tuples",
@@ -483,10 +466,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"kernel bench [{total} tuples]: "
             f"per-tuple {point['per_tuple']['wall_seconds']:.3f}s, "
-            f"batched {point['batched']['wall_seconds']:.3f}s, "
             f"columnar {point['columnar']['wall_seconds']:.3f}s | "
-            f"columnar {point['speedup_columnar']:.2f}x over batched, "
-            f"{point['speedup_columnar_total']:.2f}x over per-tuple "
+            f"columnar {point['speedup']:.2f}x over per-tuple "
             f"(triples {'match' if point['triples_match'] else 'MISMATCH'})"
         )
     if "merge" in manifest:

@@ -82,7 +82,6 @@ def execute(
     stop_after: int | None = None,
     broker: ResourceBroker | None = None,
     batch_delivery: bool = True,
-    columnar_delivery: bool = True,
 ) -> SimulationResult:
     """Run one operator over one workload (results not retained)."""
     src_a = NetworkSource(rel_a, arrival_a, seed=seed_a)
@@ -97,7 +96,6 @@ def execute(
         stop_after=stop_after,
         broker=broker,
         batch_delivery=batch_delivery,
-        columnar_delivery=columnar_delivery,
     )
 
 

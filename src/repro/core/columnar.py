@@ -27,7 +27,7 @@ boundary row's arrival + per-tuple cost *first* (exactly as the
 per-tuple loop does before noticing memory is full), writes the
 mirrored clock and pool back, runs the operator's flush loop, and
 re-mirrors — identical observable state at every flush to the
-per-tuple and fused paths.
+per-tuple path.
 """
 
 from __future__ import annotations
@@ -233,9 +233,8 @@ def run_columnar_batch(
     replays the exact per-row charge sequence, flush boundaries charge
     the boundary row before flushing (then skip its charge when the
     segment resumes), and the clock/pool are mirrored in locals and
-    written back before any shared-state observer runs — the same
-    discipline as the fused tuple loops, pinned by the equivalence
-    suite.
+    written back before any shared-state observer runs — pinned by
+    the equivalence suite.
     """
     n = len(batch.keys)
     if n == 0:

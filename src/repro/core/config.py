@@ -49,11 +49,6 @@ class HMJConfig:
         hot_split_min_tuples: Minimum resident pair total before a hot
             group is worth splitting (re-bucketing a near-empty group
             buys nothing).
-        merge_path: Merging-phase implementation: ``"columnar"`` (the
-            default — vectorized k-way merge with batched
-            join-while-merging) or ``"scalar"`` (the per-tuple
-            generator, kept as the conformance oracle).  Both produce
-            byte-identical determinism triples.
     """
 
     memory_capacity: int
@@ -65,7 +60,6 @@ class HMJConfig:
     hot_split_factor: int = 0
     hot_split_threshold: float = 4.0
     hot_split_min_tuples: int = 64
-    merge_path: str = "columnar"
 
     def __post_init__(self) -> None:
         if self.memory_capacity < 2:
@@ -96,11 +90,6 @@ class HMJConfig:
             raise ConfigurationError(
                 f"hot_split_min_tuples must be >= 0, "
                 f"got {self.hot_split_min_tuples}"
-            )
-        if self.merge_path not in ("scalar", "columnar"):
-            raise ConfigurationError(
-                f"merge_path must be 'scalar' or 'columnar', "
-                f"got {self.merge_path!r}"
             )
 
     @property

@@ -28,13 +28,7 @@ from typing import Sequence
 from repro.joins.base import StreamingJoinOperator
 from repro.sim.budget import WorkBudget
 from repro.storage.memory import MemoryPool
-from repro.storage.tuples import (
-    SOURCE_A,
-    SOURCE_B,
-    Tuple,
-    make_result,
-    sort_columns_by_key,
-)
+from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple, sort_columns_by_key
 
 
 class HashMergeJoin(StreamingJoinOperator):
@@ -73,7 +67,6 @@ class HashMergeJoin(StreamingJoinOperator):
             fan_in=cfg.fan_in,
             n_groups=cfg.n_groups,
             journal=self.runtime.journal,
-            merge_path=cfg.merge_path,
             recorder=self.recorder,
             emit_phase=self.PHASE_MERGING,
             emit_guard=self._emit_guard,
@@ -85,20 +78,17 @@ class HashMergeJoin(StreamingJoinOperator):
     @property
     def memory(self) -> MemoryPool:
         """The operator's memory budget."""
-        assert self._memory is not None
-        return self._memory
+        return self._bound(self._memory)
 
     @property
     def table(self) -> DualHashTable:
         """The in-memory dual hash table."""
-        assert self._table is not None
-        return self._table
+        return self._bound(self._table)
 
     @property
     def scheduler(self) -> MergeScheduler:
         """The merging-phase scheduler."""
-        assert self._scheduler is not None
-        return self._scheduler
+        return self._bound(self._scheduler)
 
     # -- protocol ---------------------------------------------------------
 
@@ -127,81 +117,6 @@ class HashMergeJoin(StreamingJoinOperator):
         if imbalance > self.peak_imbalance:
             self.peak_imbalance = imbalance
 
-    def on_tuple_batch(
-        self, tuples: Sequence[Tuple], times: Sequence[float]
-    ) -> None:
-        """Fused hashing loop over one delivery batch.
-
-        A transcription of :meth:`on_tuple` with the runtime attribute
-        lookups hoisted out of the loop and the clock and memory pool
-        mirrored in local variables (``now += delta`` is ``advance``'s
-        ``self._now += delta``; ``used >= capacity`` is
-        ``not has_room(1)``, ``used += 1`` is ``allocate(1)``).  Both
-        are written back before the only calls that observe shared
-        state mid-batch — the flush path — and at batch end, so the
-        clock charges, flush decisions, and emission order per tuple
-        are identical and the virtual clock, I/O counts, and result
-        sequence match the per-tuple path exactly (the equivalence
-        suite pins this).
-        """
-        if type(self).on_tuple is not HashMergeJoin.on_tuple:
-            # A subclass customised the per-tuple path; replaying it
-            # tuple-by-tuple keeps the override authoritative.
-            super().on_tuple_batch(tuples, times)
-            return
-        runtime = self.runtime
-        clock = runtime.clock
-        costs = runtime.costs
-        tuple_cost = costs.cpu_tuple_cost
-        # Same expressions as charge_probe/emit: probe_time(n) is
-        # n * cpu_compare_cost and result_time(1) is 1 * cpu_result_cost,
-        # so the inlined arithmetic is bit-identical.
-        compare_cost = costs.cpu_compare_cost
-        result_cost = costs.result_time(1)
-        memory = self._memory
-        table = self._table
-        assert memory is not None and table is not None
-        probe_insert = table.probe_insert
-        imbalance_of = table.summary.imbalance
-        append_result = self.recorder.batch_appender(self.PHASE_HASHING)
-        emit_guard = self._emit_guard
-        disk = self.disk
-        peak = self.peak_imbalance
-        now = clock.now
-        used, capacity = memory.fill_level()
-        # I/O only moves during flushes, so the count is constant
-        # between them and can be mirrored like the clock.
-        io = disk.io_count
-        for t, at in zip(tuples, times):
-            if at > now:
-                now = at
-            now += tuple_cost
-            if used >= capacity:
-                # Flushing reads the clock (sort/I-O charges) and the
-                # pool (release): sync both, flush, re-mirror.
-                clock.resync(now)
-                memory.set_used(used)
-                while not memory.has_room(1):
-                    self._flush_victims()
-                now = clock.now
-                used, capacity = memory.fill_level()
-                io = disk.io_count
-            matches, candidates, _ = probe_insert(t)
-            if candidates:
-                now += candidates * compare_cost
-            if matches:
-                emit_guard()
-                for match in matches:
-                    now += result_cost
-                    append_result(make_result(t, match), now, io)
-            used += 1
-            imbalance = imbalance_of()
-            if imbalance > peak:
-                peak = imbalance
-        clock.resync(now)
-        memory.set_used(used)
-        self.peak_imbalance = peak
-
     def on_column_batch(self, batch: ColumnBatch) -> None:
         """Array-native hashing loop over one columnar delivery batch.
 
@@ -209,14 +124,11 @@ class HashMergeJoin(StreamingJoinOperator):
         driver with HMJ's flush policy and phase label: hashing,
         bucket grouping, matching, and inserts run vectorized while the
         clock walks the exact per-tuple charge sequence — triples and
-        emission order are identical to both tuple paths (pinned by the
-        equivalence suite).  Subclasses that customise either tuple
-        hook are replayed through those hooks instead.
+        emission order are identical to :meth:`on_tuple` (pinned by the
+        equivalence suite).  Subclasses that customise :meth:`on_tuple`
+        are replayed through it instead.
         """
-        if (
-            type(self).on_tuple is not HashMergeJoin.on_tuple
-            or type(self).on_tuple_batch is not HashMergeJoin.on_tuple_batch
-        ):
+        if type(self).on_tuple is not HashMergeJoin.on_tuple:
             super().on_column_batch(batch)
             return
         memory = self._memory
@@ -237,7 +149,7 @@ class HashMergeJoin(StreamingJoinOperator):
 
     def on_blocked(self, budget: WorkBudget) -> None:
         """Both sources blocked: run the merging phase until one wakes."""
-        self.scheduler.work(budget, self._emit_merge)
+        self.scheduler.work(budget)
 
     def memory_usage(self) -> tuple[int, int] | None:
         if self._memory is None:
@@ -256,7 +168,7 @@ class HashMergeJoin(StreamingJoinOperator):
             # All flushes are on disk; last-pass merges may now skip
             # writing their output (see MergeScheduler.mark_input_ended).
             self.scheduler.mark_input_ended()
-        self.scheduler.work(budget, self._emit_merge)
+        self.scheduler.work(budget)
         self.mark_finished()
 
     # -- runtime memory adaptation ------------------------------------------
@@ -346,9 +258,6 @@ class HashMergeJoin(StreamingJoinOperator):
 
     # -- internals ----------------------------------------------------------
 
-    def _emit_merge(self, first: Tuple, second: Tuple) -> None:
-        self.emit(first, second, self.PHASE_MERGING)
-
     def _flush_victims(self) -> None:
         """Evict the policy's chosen bucket-group pair(s) to disk."""
         victims = self.config.policy.select_victims(self.table.summary)
@@ -414,38 +323,24 @@ class HashMergeJoin(StreamingJoinOperator):
         Returns the number of memory slots freed (0 for an empty group,
         which is skipped without touching the disk).
 
-        On the columnar merge path the group is extracted directly into
-        key/tid arrays and key-sorted with ``np.lexsort`` — the same
-        strict ``(key, tid)`` order ``Tuple.sort_key`` yields within
-        one source — so no ``Tuple`` is ever boxed between hash table
-        and disk block.  Charges are identical either way: one sort
-        charge per side, then the block-pair write.
+        The group is extracted directly into key/tid arrays and
+        key-sorted with ``np.lexsort`` — the same strict ``(key, tid)``
+        order ``Tuple.sort_key`` yields within one source — so no
+        ``Tuple`` is ever boxed between hash table and disk block.  One
+        sort charge per side, then the block-pair write.
         """
-        if self.config.merge_path == "columnar":
-            cols_a = self.table.extract_group_columns(SOURCE_A, group)
-            cols_b = self.table.extract_group_columns(SOURCE_B, group)
-            n = len(cols_a) + len(cols_b)
-            if n == 0:
-                return 0
-            self.charge_sort(len(cols_a))
-            self.charge_sort(len(cols_b))
-            self.scheduler.register_flush_columns(
-                group,
-                sort_columns_by_key(cols_a),
-                sort_columns_by_key(cols_b),
-            )
-            self.memory.release(n)
-            return n
-        tuples_a = self.table.extract_group(SOURCE_A, group)
-        tuples_b = self.table.extract_group(SOURCE_B, group)
-        n = len(tuples_a) + len(tuples_b)
+        cols_a = self.table.extract_group_columns(SOURCE_A, group)
+        cols_b = self.table.extract_group_columns(SOURCE_B, group)
+        n = len(cols_a) + len(cols_b)
         if n == 0:
             return 0
-        self.charge_sort(len(tuples_a))
-        self.charge_sort(len(tuples_b))
-        tuples_a.sort(key=Tuple.sort_key)
-        tuples_b.sort(key=Tuple.sort_key)
-        self.scheduler.register_flush(group, tuples_a, tuples_b)
+        self.charge_sort(len(cols_a))
+        self.charge_sort(len(cols_b))
+        self.scheduler.register_flush_columns(
+            group,
+            sort_columns_by_key(cols_a),
+            sort_columns_by_key(cols_b),
+        )
         self.memory.release(n)
         return n
 

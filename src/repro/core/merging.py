@@ -13,10 +13,12 @@ duplicate avoidance, illustrated by Figure 6), and writing each side's
 merged output as a new block under a fresh shared number — so a later
 pass never re-joins pairs this pass (or memory) already produced.
 
-The whole machinery is built from interruptible generators: the engine
-can suspend a merge between any two tuples the moment a blocked source
-delivers again, which is how HMJ "transfers control back and forth
-between the hashing and merging phases".
+A pass runs as an interruptible generator over a vectorized k-way
+merge: the engine can suspend it between any two units of work the
+moment a blocked source delivers again, which is how HMJ "transfers
+control back and forth between the hashing and merging phases".  The
+per-tuple reference pass the columnar one is checked against lives in
+:mod:`repro.testing.scalar_merge`.
 """
 
 from __future__ import annotations
@@ -33,36 +35,11 @@ from repro.sim.budget import WorkBudget
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.storage.disk import DiskBlock, SimulatedDisk
-from repro.storage.runs import (
-    PagedRunWriter,
-    SortedRun,
-    key_merge_iterator,
-    vectorized_run_merge,
-)
+from repro.storage.runs import SortedRun, vectorized_run_merge
 from repro.storage.tuples import RelationColumns, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.recorder import MetricsRecorder
-
-EmitFn = Callable[[Tuple, Tuple], None]
-
-#: Valid values for the ``merge_path`` flag: the per-tuple generator
-#: oracle vs the vectorized columnar pass.
-MERGE_PATHS = ("scalar", "columnar")
-
-
-class _NullRunWriter:
-    """Drop-in for :class:`PagedRunWriter` that discards final-pass output."""
-
-    __slots__ = ()
-
-    def append(self, t: Tuple) -> None:
-        """Discard the tuple (final-pass output is never read again)."""
-
-    def close(self) -> DiskBlock | None:
-        """Nothing was materialised."""
-        return None
-
 
 @dataclass(slots=True)
 class _GroupState:
@@ -102,7 +79,6 @@ class MergeScheduler:
         fan_in: int,
         n_groups: int,
         journal=None,
-        merge_path: str = "scalar",
         recorder: "MetricsRecorder | None" = None,
         emit_phase: str = "merging",
         emit_guard: Callable[[], None] | None = None,
@@ -111,13 +87,9 @@ class MergeScheduler:
             raise ConfigurationError(f"fan_in must be >= 2, got {fan_in}")
         if n_groups < 1:
             raise ConfigurationError(f"n_groups must be >= 1, got {n_groups}")
-        if merge_path not in MERGE_PATHS:
+        if recorder is None:
             raise ConfigurationError(
-                f"merge_path must be one of {MERGE_PATHS}, got {merge_path!r}"
-            )
-        if merge_path == "columnar" and recorder is None:
-            raise ConfigurationError(
-                "merge_path='columnar' needs a recorder for batch emission"
+                "MergeScheduler needs a recorder for batch emission"
             )
         self._disk = disk
         self._clock = clock
@@ -130,12 +102,11 @@ class MergeScheduler:
             )
             for g in range(n_groups)
         ]
-        self._active: _ScalarMergePass | _ColumnarMergePass | None = None
+        self._active: _ColumnarMergePass | None = None
         self._cursor = 0
         self._input_ended = False
         self._journal = journal
         self._journal_actor = partition_prefix
-        self._merge_path = merge_path
         self._recorder = recorder
         self._emit_phase = emit_phase
         self._emit_guard = emit_guard if emit_guard is not None else _no_guard
@@ -150,11 +121,6 @@ class MergeScheduler:
     def fan_in(self) -> int:
         """Blocks merged per pass (the paper's ``f``)."""
         return self._fan_in
-
-    @property
-    def merge_path(self) -> str:
-        """Which merge implementation passes run on."""
-        return self._merge_path
 
     @property
     def tuples_flushed(self) -> int:
@@ -302,7 +268,7 @@ class MergeScheduler:
 
     # -- merge side --------------------------------------------------------
 
-    def work(self, budget: WorkBudget, emit: EmitFn) -> None:
+    def work(self, budget: WorkBudget) -> None:
         """Run merge passes until the budget expires or no work remains.
 
         A suspended pass is resumed first; passes across groups are
@@ -314,14 +280,18 @@ class MergeScheduler:
                 group = self._next_group()
                 if group is None:
                     return
-                if self._merge_path == "columnar":
-                    self._active = _ColumnarMergePass(self, group)
-                else:
-                    self._active = _ScalarMergePass(
-                        self._merge_pass(group, emit)
-                    )
+                self._active = self._start_pass(group)
             if self._active.advance(budget):
                 self._active = None
+
+    def _start_pass(self, group: int) -> "_ColumnarMergePass":
+        """Begin one merge pass over ``group``.
+
+        Results are appended straight to the recorder under the
+        scheduler's emit phase; the pass advances until its budget
+        expires and reports True from ``advance`` once it is done.
+        """
+        return _ColumnarMergePass(self, group)
 
     def _next_group(self) -> int | None:
         n = len(self._groups)
@@ -342,8 +312,7 @@ class MergeScheduler:
     ]:
         """Reserve a pass's inputs and assign its output block number.
 
-        Shared by both merge paths: pops the first ``f`` block numbers
-        from the group's index (updating the side tallies), decides
+        Pops the first ``f`` block numbers from the group's index (updating the side tallies), decides
         whether this is a final pass, and journals the pass.
         """
         gs = self._group(group)
@@ -403,52 +372,6 @@ class MergeScheduler:
         if merged_b is not None:
             gs.count_b += 1
 
-    def _merge_pass(self, group: int, emit: EmitFn) -> Iterator[None]:
-        """One pass over a group: merge its first ``f`` block numbers.
-
-        The scalar reference implementation (and conformance oracle of
-        the columnar path): a generator yielding after every unit of
-        work so the engine can suspend it mid-pass.  Input blocks are
-        reserved (removed from the group's index) up front; the merged
-        outputs are registered under a fresh shared block number at the
-        end.
-        """
-        gs, selected, out_id, final_pass = self._begin_pass(group)
-
-        runs_a = [
-            SortedRun(block=blk, origin=i)
-            for i, (blk, _) in selected.items()
-            if blk is not None
-        ]
-        runs_b = [
-            SortedRun(block=blk, origin=i)
-            for i, (_, blk) in selected.items()
-            if blk is not None
-        ]
-        if final_pass:
-            writer_a: PagedRunWriter | _NullRunWriter = _NullRunWriter()
-            writer_b: PagedRunWriter | _NullRunWriter = _NullRunWriter()
-        else:
-            writer_a = PagedRunWriter(self._disk, gs.partition_a, out_id)
-            writer_b = PagedRunWriter(self._disk, gs.partition_b, out_id)
-        stream_a = key_merge_iterator(runs_a, self._disk)
-        stream_b = key_merge_iterator(runs_b, self._disk)
-
-        yield from _join_while_merging(
-            stream_a,
-            stream_b,
-            writer_a,
-            writer_b,
-            emit,
-            self._clock,
-            self._costs.cpu_compare_cost,
-        )
-
-        self._drop_inputs(gs, selected)
-        merged_a = writer_a.close()
-        merged_b = writer_b.close()
-        self._register_output(gs, out_id, merged_a, merged_b)
-
     def _group(self, group: int) -> _GroupState:
         if not 0 <= group < len(self._groups):
             raise ConfigurationError(
@@ -457,114 +380,30 @@ class MergeScheduler:
         return self._groups[group]
 
 
-def _join_while_merging(
-    stream_a: Iterator[tuple[Tuple, int]],
-    stream_b: Iterator[tuple[Tuple, int]],
-    writer_a: PagedRunWriter,
-    writer_b: PagedRunWriter,
-    emit: EmitFn,
-    clock: VirtualClock,
-    compare_cost: float,
-) -> Iterator[None]:
-    """Sort-merge join two origin-tagged streams while writing them out.
-
-    Every consumed tuple is appended to its side's output run; every
-    matching pair with *different* origins is emitted through ``emit``.
-    Yields after each unit of work (one consumed tuple or one candidate
-    pair) so the caller can suspend between any two units.
-    """
-    item_a = next(stream_a, None)
-    item_b = next(stream_b, None)
-    while item_a is not None and item_b is not None:
-        key_a = item_a[0].key
-        key_b = item_b[0].key
-        clock.advance(compare_cost)
-        if key_a < key_b:
-            writer_a.append(item_a[0])
-            item_a = next(stream_a, None)
-            yield
-        elif key_b < key_a:
-            writer_b.append(item_b[0])
-            item_b = next(stream_b, None)
-            yield
-        else:
-            # Equal keys: gather both sides' key groups, cross them.
-            group_a: list[tuple[Tuple, int]] = []
-            while item_a is not None and item_a[0].key == key_a:
-                group_a.append(item_a)
-                writer_a.append(item_a[0])
-                item_a = next(stream_a, None)
-                yield
-            group_b: list[tuple[Tuple, int]] = []
-            while item_b is not None and item_b[0].key == key_a:
-                group_b.append(item_b)
-                writer_b.append(item_b[0])
-                item_b = next(stream_b, None)
-                yield
-            for tuple_a, origin_a in group_a:
-                for tuple_b, origin_b in group_b:
-                    clock.advance(compare_cost)
-                    if origin_a != origin_b:
-                        emit(tuple_a, tuple_b)
-                    yield
-    # Drain whichever side remains (no more matches possible).
-    while item_a is not None:
-        writer_a.append(item_a[0])
-        item_a = next(stream_a, None)
-        yield
-    while item_b is not None:
-        writer_b.append(item_b[0])
-        item_b = next(stream_b, None)
-        yield
-
-
 def _no_guard() -> None:
     """Default emit guard: no operator context, nothing to check."""
 
 
-class _ScalarMergePass:
-    """An in-flight scalar pass: the per-tuple generator plus its driver.
-
-    Advancing runs one unit of work per ``next``, re-checking the
-    budget between units — the original ``_drain_active`` loop.
-    """
-
-    __slots__ = ("_gen",)
-
-    def __init__(self, gen: Iterator[None]) -> None:
-        self._gen = gen
-
-    def advance(self, budget: WorkBudget) -> bool:
-        """Advance until the budget expires; True when the pass is done."""
-        gen = self._gen
-        while not budget.expired():
-            try:
-                next(gen)
-            except StopIteration:
-                return True
-        return False
-
-
 class _ColumnarMergePass:
-    """An in-flight columnar pass: vectorized data plane, mirrored clock.
+    """An in-flight merge pass: vectorized data plane, mirrored clock.
 
-    The columnar twin of ``_merge_pass`` + ``_join_while_merging``.
     Both sides' runs are merged up front into contiguous origin-tagged
     columns (:func:`~repro.storage.runs.vectorized_run_merge`); the
     pass then walks per-key segments found by bisection, crossing
     equal-key spans with the origin≠origin duplicate-avoidance mask
     and appending results through the recorder's batch column path.
 
-    **Determinism.**  The scalar path charges the clock once per unit
-    of work (compare / page write / page read / result), and float
-    addition is non-associative — so the charges here replay the exact
-    per-unit sequence in a sequential scalar recurrence on a mirrored
-    local ``now`` (the discipline
+    **Determinism.**  The per-tuple reference pass
+    (:class:`~repro.testing.scalar_merge.ScalarMergeScheduler`) charges
+    the clock once per unit of work (compare / page write / page read
+    / result), and float addition is non-associative — so the charges
+    here replay the exact per-unit sequence in a sequential scalar
+    recurrence on a mirrored local ``now`` (the discipline
     :func:`~repro.core.columnar._clock_walk` established), with page
     I/Os counted locally and folded back in bulk.  The budget boundary
     is re-checked between every two units against the hoisted deadline
     and stop predicate, so the pass suspends at exactly the unit the
-    scalar generator would — triples stay byte-identical under
+    reference generator would — triples stay byte-identical under
     arbitrary suspension.  While a stop predicate is armed, emissions
     flush immediately (the predicate may read the recorder's live
     count); otherwise they buffer until the next suspension point or

@@ -21,8 +21,8 @@ as a debug oracle in the test suite.
 also bumps a per-group *heat* counter.  Heat is decayed multiplicatively
 by the flushing policy at each flush decision (``decay_heat``), never
 per arrival — between two flush points heat accumulation is a plain
-order-free sum, so the per-tuple, fused, and columnar delivery paths
-observe identical heat at every decision point.  Flushing a group does
+order-free sum, so the per-tuple and columnar delivery paths observe
+identical heat at every decision point.  Flushing a group does
 *not* reset its heat: heat measures arrival recency, not residency, so
 a hot group that was just evicted is still recognised as hot while it
 refills.  With heat disabled (the default) the only cost is one

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Sequence, TypeVar
 
 from repro.errors import ProtocolError
 from repro.storage.tuples import Tuple, make_result
@@ -35,6 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.costs import CostModel
     from repro.sim.journal import SimulationJournal
     from repro.storage.disk import SimulatedDisk
+
+_T = TypeVar("_T")
 
 
 @dataclass(slots=True)
@@ -97,11 +99,20 @@ class StreamingJoinOperator(abc.ABC):
     @property
     def runtime(self) -> JoinRuntime:
         """The bound runtime (raises if the operator is unbound)."""
-        if self._runtime is None:
+        return self._bound(self._runtime)
+
+    def _bound(self, state: "_T | None") -> "_T":
+        """``state`` built by :meth:`bind`; raises while still unbound.
+
+        Backs the runtime-dependent accessors (memory pool, hash table,
+        merge scheduler) so an unbound operator fails with the typed
+        :class:`~repro.errors.ProtocolError` instead of an assertion.
+        """
+        if state is None:
             raise ProtocolError(
                 f"{self.name} must be bound to a JoinRuntime before use"
             )
-        return self._runtime
+        return state
 
     @property
     def clock(self) -> VirtualClock:
@@ -139,15 +150,13 @@ class StreamingJoinOperator(abc.ABC):
     ) -> None:
         """Process a run of arrivals, each at its own arrival instant.
 
-        Batching amortises Python dispatch only — it never changes the
-        simulation: implementations must advance the clock to each
-        tuple's arrival time before processing it and must preserve the
-        exact per-tuple clock charges and emission order of
-        :meth:`on_tuple`.  The engine only calls this when no early
-        stop is armed (``stop_after`` runs fall back to per-tuple
-        delivery, which checks the predicate between arrivals).  This
-        default replays the per-tuple protocol verbatim, so operators
-        without a fused loop are automatically correct.
+        Replays the per-tuple protocol verbatim: the clock advances to
+        each tuple's arrival time, then :meth:`on_tuple` processes it,
+        so charges and emission order are exactly the per-event ones.
+        The engine calls this for operators without
+        :meth:`on_column_batch` support, and only when no early stop is
+        armed (``stop_after`` runs fall back to per-tuple delivery,
+        which checks the predicate between arrivals).
         """
         advance_to = self.clock.advance_to
         on_tuple = self.on_tuple
@@ -162,8 +171,8 @@ class StreamingJoinOperator(abc.ABC):
         arrivals, same instants, no ``Tuple`` boxing on the way in.
         The same equivalence contract applies — identical per-tuple
         clock charges and emission order.  This default boxes the batch
-        and delegates, so operators without an array-native path (and
-        subclasses that customise the per-tuple hooks) stay correct.
+        and replays it, so operators without an array-native path (and
+        subclasses that customise :meth:`on_tuple`) stay correct.
         """
         tuples, times = batch.to_tuples()
         self.on_tuple_batch(tuples, times)
@@ -268,10 +277,11 @@ class StreamingJoinOperator(abc.ABC):
         runtime.recorder.record(make_result(first, second), phase)
 
     def _emit_guard(self) -> None:
-        """The finished-check of :meth:`emit`, for fused batch loops.
+        """The finished-check of :meth:`emit`, for batch emitters.
 
-        Fused ``on_tuple_batch`` implementations inline the emission
-        path; calling this once per emitting tuple keeps the
+        The columnar hashing driver and the merge pass append results
+        to the recorder in column batches instead of calling
+        :meth:`emit`; calling this before each append keeps the
         no-results-after-finish protocol error intact.
         """
         if self._finished:

@@ -27,7 +27,7 @@ memory through the broker's normal ``resize_memory`` path.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.errors import ProtocolError
 from repro.core.columnar import ColumnBatch
@@ -120,12 +120,6 @@ class MorphingJoin(StreamingJoinOperator):
     def on_tuple(self, t: Tuple) -> None:
         self.tuples_seen += 1
         self._active.on_tuple(t)
-
-    def on_tuple_batch(
-        self, tuples: Sequence[Tuple], times: Sequence[float]
-    ) -> None:
-        self.tuples_seen += len(tuples)
-        self._active.on_tuple_batch(tuples, times)
 
     def on_column_batch(self, batch: ColumnBatch) -> None:
         self.tuples_seen += len(batch)

@@ -17,7 +17,7 @@ variant.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.core.merging import MERGE_PATHS, MergeScheduler
+from repro.core.merging import MergeScheduler
 from repro.joins.base import StreamingJoinOperator
 from repro.sim.budget import WorkBudget
 from repro.storage.memory import MemoryPool
@@ -37,21 +37,15 @@ class ProgressiveMergeJoin(StreamingJoinOperator):
         memory_capacity: int,
         fan_in: int = 8,
         merge_on_block: bool = True,
-        merge_path: str = "columnar",
     ) -> None:
         super().__init__()
         if memory_capacity < 2:
             raise ConfigurationError(
                 f"memory_capacity must be >= 2, got {memory_capacity}"
             )
-        if merge_path not in MERGE_PATHS:
-            raise ConfigurationError(
-                f"merge_path must be one of {MERGE_PATHS}, got {merge_path!r}"
-            )
         self._capacity = memory_capacity
         self._fan_in = fan_in
         self._merge_on_block = merge_on_block
-        self._merge_path = merge_path
         self._memory: MemoryPool | None = None
         self._scheduler: MergeScheduler | None = None
         self._pending_a: list[Tuple] = []
@@ -68,7 +62,6 @@ class ProgressiveMergeJoin(StreamingJoinOperator):
             fan_in=self._fan_in,
             n_groups=1,
             journal=self.runtime.journal,
-            merge_path=self._merge_path,
             recorder=self.recorder,
             emit_phase=self.PHASE_MERGING,
             emit_guard=self._emit_guard,
@@ -77,14 +70,12 @@ class ProgressiveMergeJoin(StreamingJoinOperator):
     @property
     def memory(self) -> MemoryPool:
         """The operator's memory budget."""
-        assert self._memory is not None
-        return self._memory
+        return self._bound(self._memory)
 
     @property
     def scheduler(self) -> MergeScheduler:
         """The merging-phase scheduler (single bucket group)."""
-        assert self._scheduler is not None
-        return self._scheduler
+        return self._bound(self._scheduler)
 
     # -- protocol ---------------------------------------------------------
 
@@ -110,7 +101,7 @@ class ProgressiveMergeJoin(StreamingJoinOperator):
 
     def on_blocked(self, budget: WorkBudget) -> None:
         if self._merge_on_block:
-            self.scheduler.work(budget, self._emit_merge)
+            self.scheduler.work(budget)
 
     def memory_usage(self) -> tuple[int, int] | None:
         if self._memory is None:
@@ -126,7 +117,7 @@ class ProgressiveMergeJoin(StreamingJoinOperator):
         if self._pending_a or self._pending_b:
             self._sort_join_flush()
         self.scheduler.mark_input_ended()
-        self.scheduler.work(budget, self._emit_merge)
+        self.scheduler.work(budget)
         self.mark_finished()
 
     def resize_memory(self, new_capacity: int) -> None:
@@ -145,17 +136,13 @@ class ProgressiveMergeJoin(StreamingJoinOperator):
 
     # -- internals ----------------------------------------------------------
 
-    def _emit_merge(self, first: Tuple, second: Tuple) -> None:
-        self.emit(first, second, self.PHASE_MERGING)
-
     def _sort_join_flush(self) -> None:
         """One sorting-phase step: sort both partitions, join, flush.
 
-        The in-memory sort-merge join works on the boxed sorted lists
-        either way; on the columnar merge path the flushed run pair is
-        registered as key/tid column arrays so later merge passes read
-        it without re-boxing.  Charges are identical (one sort charge
-        per side, then the run-pair write).
+        The in-memory sort-merge join works on the boxed sorted lists;
+        the flushed run pair is registered as key/tid column arrays so
+        later merge passes read it without re-boxing.  One sort charge
+        per side, then the run-pair write.
         """
         tuples_a, tuples_b = self._pending_a, self._pending_b
         self._pending_a, self._pending_b = [], []
@@ -164,14 +151,9 @@ class ProgressiveMergeJoin(StreamingJoinOperator):
         tuples_a.sort(key=Tuple.sort_key)
         tuples_b.sort(key=Tuple.sort_key)
         self._join_sorted_in_memory(tuples_a, tuples_b)
-        if self._merge_path == "columnar":
-            self.scheduler.register_flush_columns(
-                0,
-                tuples_to_columns(tuples_a),
-                tuples_to_columns(tuples_b),
-            )
-        else:
-            self.scheduler.register_flush(0, tuples_a, tuples_b)
+        self.scheduler.register_flush_columns(
+            0, tuples_to_columns(tuples_a), tuples_to_columns(tuples_b)
+        )
         self.memory.release(len(tuples_a) + len(tuples_b))
         self.sort_flush_count += 1
         self.log_event("sort-flush", a=len(tuples_a), b=len(tuples_b))

@@ -297,50 +297,6 @@ class MetricsRecorder:
             tap(result, event)
         return event
 
-    def batch_appender(
-        self, phase: str
-    ) -> Callable[[JoinResult, float, int], None]:
-        """A fused append path for one operator delivery batch.
-
-        Returns an ``append(result, time, io)`` callable equivalent to
-        :meth:`record` under a fixed ``phase``, except the caller
-        supplies the timestamp and I/O count: batch loops already track
-        the virtual clock in a local float and the I/O total is
-        constant across one tuple's emissions, so re-reading both
-        properties per result would be pure overhead.  The per-call
-        monotonicity re-check is also skipped — the virtual clock can
-        only move forward (``advance`` rejects negative deltas,
-        ``advance_to`` never rewinds), so inside one batch it can never
-        fire.  Events, retained results, and taps behave identically;
-        the return value is dropped because batch loops never use it.
-        """
-        times = self._times
-        ios = self._ios
-        phases = self._phases
-        events = self._events
-        keep = self._keep_results
-        taps = self._taps
-
-        def append(result: JoinResult, time: float, io: int) -> None:
-            times.append(time)
-            ios.append(io)
-            phases.append(phase)
-            if len(events) == len(times) - 1:
-                events.append(
-                    ResultEvent(k=len(times), time=time, io=io, phase=phase)
-                )
-            if keep:
-                self._drain_pending_results()
-                self._results.append(result)
-            if taps:
-                event = events[-1] if len(events) == len(times) else ResultEvent(
-                    k=len(times), time=time, io=io, phase=phase
-                )
-                for tap in taps:
-                    tap(result, event)
-
-        return append
-
     def append_batch_columns(
         self,
         times: list[float],

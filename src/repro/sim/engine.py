@@ -88,7 +88,6 @@ class JoinSimulation:
         journal: bool = False,
         broker: ResourceBroker | None = None,
         batch_delivery: bool = True,
-        columnar_delivery: bool = True,
         checks=None,
     ) -> None:
         if stop_after is not None and stop_after < 1:
@@ -97,7 +96,10 @@ class JoinSimulation:
         self._costs = costs or CostModel()
         self._stop_after = stop_after
         self._keep_results = keep_results
-        self._columnar = bool(columnar_delivery)
+        # Run batches travel as column arrays whenever the operator has
+        # a native columnar path and no early stop needs the per-tuple
+        # unroll (see _deliver_batch).
+        self._columnar = operator.supports_column_batches and stop_after is None
 
         self.clock = VirtualClock()
         if spill_dir is None:
@@ -136,9 +138,7 @@ class JoinSimulation:
         self._source_b = source_b
         group = self.scheduler.add_batch_group(
             self._deliver_batch,
-            self._deliver_batch_columns
-            if self._columnar and operator.supports_column_batches
-            else None,
+            self._deliver_batch_columns if self._columnar else None,
         )
         # A disordered source is not a kernel stream: its tuples reach
         # the operator through a reorder buffer's punctuation timers
@@ -232,7 +232,7 @@ class JoinSimulation:
         # No stop predicate can fire mid-run: pop both sources in two
         # slices and hand the operator the whole run in one call.
         n = len(order)
-        if self._columnar and self._operator.supports_column_batches:
+        if self._columnar:
             # Columnar delivery: slice the sources' column images and
             # hand the operator arrays instead of boxed tuples.  The
             # arrival order, instants, and content are identical.
@@ -260,14 +260,9 @@ class JoinSimulation:
         """Columnar twin of :meth:`_deliver_batch` (arrays in, no boxing).
 
         Registered with the kernel only when columnar delivery is
-        active; an armed early stop still routes through the list path,
-        whose per-tuple unroll keeps single-result granularity.
+        active, i.e. the operator supports column batches and no early
+        stop is armed.
         """
-        if self._stop_after is not None or not (
-            self._columnar and self._operator.supports_column_batches
-        ):
-            self._deliver_batch(indices.tolist(), times.tolist())
-            return
         self._operator.on_column_batch(
             self._pop_column_batch(indices == self._stream_a, times)
         )
@@ -446,7 +441,6 @@ def run_join(
     journal: bool = False,
     broker: ResourceBroker | None = None,
     batch_delivery: bool = True,
-    columnar_delivery: bool = True,
     checks=None,
 ) -> SimulationResult:
     """Run a two-source streaming join to completion.
@@ -471,15 +465,12 @@ def run_join(
             operator is bound to it and the broker's grant schedule
             fires as timed kernel events, resizing memory mid-run.
         batch_delivery: Deliver maximal runs of consecutive arrivals
-            in one kernel dispatch (the default).  Observable results
-            — every count, virtual-clock, and I/O number — are
-            identical either way; False forces the per-event path
-            (used by the equivalence tests).
-        columnar_delivery: Deliver run batches as column arrays to
-            operators that support them (the default).  Falls back to
-            boxed-tuple batches when False — again with identical
-            observable results (the third axis of the equivalence
-            tests); ignored on the per-tuple paths.
+            in one kernel dispatch (the default) — as column arrays to
+            operators that support them, as boxed tuples replayed
+            through ``on_tuple`` otherwise.  Observable results — every
+            count, virtual-clock, and I/O number — are identical
+            either way; False forces the per-event path (the reference
+            the equivalence tests compare against).
         checks: Attach in-engine invariant checkers
             (:mod:`repro.testing.checks`).  ``True`` raises on the
             first violation; an
@@ -503,7 +494,6 @@ def run_join(
         journal=journal,
         broker=broker,
         batch_delivery=batch_delivery,
-        columnar_delivery=columnar_delivery,
         checks=checks,
     )
     # A solo run is a one-query session: the Query lifecycle dispatches
@@ -526,7 +516,6 @@ def stream_join(
     journal: bool = False,
     broker: ResourceBroker | None = None,
     batch_delivery: bool = True,
-    columnar_delivery: bool = True,
     checks=None,
 ) -> ResultStream:
     """Iterate a streaming join's results as they are produced.
@@ -557,7 +546,6 @@ def stream_join(
         journal=journal,
         broker=broker,
         batch_delivery=batch_delivery,
-        columnar_delivery=columnar_delivery,
         checks=checks,
     )
     return ResultStream(sim)

@@ -4,16 +4,15 @@ This package implements everything the paper's C++ prototype got from
 its operating system and local disk: a tuple/relation model, page-size
 arithmetic, a memory budget that operators must stay within (forcing
 flushes exactly when the paper's Step 1 of the hashing phase fires), a
-page-granular simulated disk with I/O accounting, and sorted-run
-readers/writers with k-way merge iterators used by the merging phases
-of HMJ and PMJ.
+page-granular simulated disk with I/O accounting, and the sorted runs
+the merging phases of HMJ and PMJ consume.
 """
 
 from repro.storage.disk import DiskBlock, DiskPartition, SimulatedDisk
 from repro.storage.filedisk import FileBackedDisk
 from repro.storage.memory import MemoryPool
 from repro.storage.pages import pages_needed, split_into_pages
-from repro.storage.runs import SortedRun, key_merge_iterator, merge_sorted_runs
+from repro.storage.runs import SortedRun
 from repro.storage.serialization import decode_tuples, encode_tuples
 from repro.storage.tuples import JoinResult, Relation, Schema, Tuple
 
@@ -30,8 +29,6 @@ __all__ = [
     "Tuple",
     "decode_tuples",
     "encode_tuples",
-    "key_merge_iterator",
-    "merge_sorted_runs",
     "pages_needed",
     "split_into_pages",
 ]

@@ -1,30 +1,30 @@
-"""Sorted runs, paged run writers, and k-way merge iterators.
+"""Sorted runs and their vectorized k-way merge.
 
 The merging phases of HMJ and PMJ consume *sorted runs* (the blocks
 flushed by the hashing/sorting phases) and produce bigger sorted runs,
-joining as they go.  This module supplies the three primitives they
+joining as they go.  This module supplies the two primitives they
 share:
 
 * :class:`SortedRun` — a sorted block together with its origin block
   number (the duplicate-avoidance tag of Figure 5, Step 3b);
-* :func:`key_merge_iterator` — a heap-based k-way merge over several
-  runs that yields ``(tuple, origin_block_id)`` in key order, reading
-  page by page so I/O is charged incrementally;
-* :class:`PagedRunWriter` — a streaming writer that charges one page
-  write each time a page fills, used for merge-pass output.
+* :func:`vectorized_run_merge` — a k-way merge of several runs into
+  contiguous origin-tagged columns, carrying the page-read schedule a
+  page-by-page heap merge would charge.
+
+The page-streamed heap merge and paged run writer that define that
+schedule live in :mod:`repro.testing.scalar_merge`, as the reference
+the merging phase is checked against.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.disk import DiskBlock, SimulatedDisk
-from repro.storage.tuples import Tuple
 
 
 @dataclass(slots=True)
@@ -58,69 +58,15 @@ class SortedRun:
         return cls(block=block, origin=block.block_id)
 
 
-def key_merge_iterator(
-    runs: Sequence[SortedRun], disk: SimulatedDisk
-) -> Iterator[tuple[Tuple, int]]:
-    """Merge sorted runs into one key-ordered stream of (tuple, origin).
-
-    Pages are pulled from the disk lazily, so pausing this iterator
-    pauses I/O charging too — the property that lets the engine suspend
-    a merge the moment a blocked source wakes up.
-    """
-    # Each heap entry: (sort_key, run_index, tuple). run_index breaks
-    # ties deterministically and keeps the heap from comparing Tuples.
-    heap: list[tuple[tuple[int, str, int], int, Tuple]] = []
-    page_streams = [disk.page_reader(run.block) for run in runs]
-    buffers: list[list[Tuple]] = [[] for _ in runs]
-    # Per-page sort keys, computed once at refill rather than once per
-    # heap push (every tuple is pushed exactly once, but the method
-    # call and tuple construction dominate the push itself).
-    sort_keys: list[list[tuple[int, str, int]]] = [[] for _ in runs]
-    positions = [0] * len(runs)
-
-    def refill(i: int) -> bool:
-        """Load the next page of run ``i``; False when exhausted."""
-        page = next(page_streams[i], None)
-        if page is None:
-            return False
-        buffers[i] = page
-        sort_keys[i] = [t.sort_key() for t in page]
-        positions[i] = 0
-        return True
-
-    def push_next(i: int) -> None:
-        pos = positions[i]
-        if pos >= len(buffers[i]):
-            if not refill(i):
-                return
-            pos = 0
-        positions[i] = pos + 1
-        heapq.heappush(heap, (sort_keys[i][pos], i, buffers[i][pos]))
-
-    for i in range(len(runs)):
-        push_next(i)
-
-    while heap:
-        _, i, t = heapq.heappop(heap)
-        yield (t, runs[i].origin)
-        push_next(i)
-
-
-def merge_sorted_runs(
-    runs: Sequence[SortedRun], disk: SimulatedDisk
-) -> list[tuple[Tuple, int]]:
-    """Eagerly materialise :func:`key_merge_iterator` (test convenience)."""
-    return list(key_merge_iterator(runs, disk))
-
-
 @dataclass(slots=True)
 class MergedRunColumns:
     """One side's k-way merge, pre-computed as origin-tagged columns.
 
-    The columnar counterpart of :func:`key_merge_iterator`: the same
-    elements in the same key order, plus the *I/O charge schedule* the
-    heap path would have produced, so a consumer can replay page-read
-    charges element by element without touching the heap machinery.
+    The same elements in the same key order as the page-streamed
+    reference heap merge (:mod:`repro.testing.scalar_merge`), plus the
+    *I/O charge schedule* the heap path would have produced, so a
+    consumer can replay page-read charges element by element without
+    touching the heap machinery.
 
     Attributes:
         keys: int64 join keys in merged order.
@@ -215,59 +161,3 @@ def vectorized_run_merge(
         source=source,
         n_init_reads=len(runs),
     )
-
-
-class PagedRunWriter:
-    """Streams a sorted run to disk, charging I/O one page at a time.
-
-    The writer buffers tuples; whenever a full page accumulates it is
-    charged immediately (so the I/O counter grows *during* a merge pass
-    as in the paper's curves), and ``close`` charges the final partial
-    page and registers the finished block under ``partition``.
-    """
-
-    def __init__(
-        self,
-        disk: SimulatedDisk,
-        partition: str,
-        block_id: int,
-    ) -> None:
-        self._disk = disk
-        self._partition = partition
-        self._block_id = block_id
-        self._tuples: list[Tuple] = []
-        self._uncharged = 0
-        self._closed = False
-
-    @property
-    def count(self) -> int:
-        """Tuples written so far."""
-        return len(self._tuples)
-
-    def append(self, t: Tuple) -> None:
-        """Append one tuple, charging a page write on page boundaries."""
-        if self._closed:
-            raise StorageError("cannot append to a closed run writer")
-        self._tuples.append(t)
-        self._uncharged += 1
-        if self._uncharged == self._disk.costs.page_size:
-            self._disk.charge_write_pages(self._uncharged)
-            self._uncharged = 0
-
-    def close(self) -> DiskBlock | None:
-        """Flush the final partial page and register the block.
-
-        Returns the registered block, or ``None`` if nothing was ever
-        written (a merge group whose inputs were all empty).
-        """
-        if self._closed:
-            raise StorageError("run writer already closed")
-        self._closed = True
-        if self._uncharged:
-            self._disk.charge_write_pages(self._uncharged)
-            self._uncharged = 0
-        if not self._tuples:
-            return None
-        return self._disk.adopt_block(
-            self._partition, self._tuples, self._block_id, sorted_by_key=True
-        )

@@ -10,7 +10,9 @@ Three layers, importable by tests, benchmarks, and the CLI
 * :mod:`repro.testing.oracle` — differential comparison of any
   streaming operator's output multiset against the blocking
   ``hash_join`` oracle (the paper's Theorems 1 and 2), plus the
-  operator-driving helpers the test suite builds on;
+  operator-driving helpers the test suite builds on; alongside it,
+  :mod:`repro.testing.scalar_merge` keeps the per-tuple merge pass as
+  the reference the production merging phase is checked against;
 * :mod:`repro.testing.metamorphic` — seeded workload rewrites
   (arrival permutation, key relabeling, stream swap, rate rescale)
   with known effect on the correct output.

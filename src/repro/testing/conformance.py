@@ -4,9 +4,14 @@
 (HMJ, XJoin, PMJ, DPHJ, ripple, symmetric hash) against the blocking
 :func:`~repro.joins.blocking.hash_join` oracle across the six figure
 workloads (Figures 9-14's arrival regimes, memory budgets, thresholds,
-and early stop), through all three kernel delivery paths (per-event,
-batched boxed-tuple runs, and columnar array runs), with the full
-in-engine invariant-checker suite attached in collect mode.  The default ("full") matrix additionally re-runs every
+and early stop), through both kernel delivery paths (per-event and
+batched — column arrays for operators with a columnar path, boxed
+tuples replayed through ``on_tuple`` otherwise), with the full
+in-engine invariant-checker suite attached in collect mode.  The
+sort-merge family (HMJ, PMJ, skew-adaptive HMJ) additionally re-runs
+each batched cell on the scalar merge oracle
+(:mod:`repro.testing.scalar_merge`) and must reproduce its triple
+exactly.  The default ("full") matrix additionally re-runs every
 resize-capable operator under a :class:`~repro.sim.broker.
 ResourceBroker` shrink/grow memory schedule; ``--quick`` skips the
 resize axis (the reduced matrix CI runs).  A ``--skew-theta`` axis
@@ -16,11 +21,11 @@ plus hot-group sub-splits) both run against the oracle — adaptivity on
 and off must conform under genuine skew.
 
 A ``--plan-shape`` axis adds n-way plan cells (chain, star, bushy —
-see :mod:`repro.pipeline.shapes`) crossed with the plan executor's
-delivery paths.  Each plan cell runs three times: an in-order run
-diffed against a key-wise counting oracle, a bounded-disorder run
-whose leaves arrive out of order behind watermark reorder buffers,
-and the disordered run's release-schedule twin — the disordered
+see :mod:`repro.pipeline.shapes`) crossed with the delivery paths.
+Each plan cell runs three times: an in-order run diffed against a
+key-wise counting oracle, a bounded-disorder run whose leaves arrive
+out of order behind watermark reorder buffers, and the disordered
+run's release-schedule twin — the disordered
 triple must equal the twin's byte for byte (the star hub is shared
 through per-consumer cursors, so the axis also certifies shared
 sources).
@@ -64,20 +69,37 @@ from repro.sim.broker import ResourceBroker
 from repro.sim.engine import run_join
 from repro.testing.checks import InvariantChecks
 from repro.testing.oracle import compare_with_oracle
+from repro.testing.scalar_merge import (
+    ScalarMergeHashMergeJoin,
+    ScalarMergeProgressiveMergeJoin,
+)
 from repro.workloads.generator import make_relation_pair
+
+#: The sort-merge family's classes per merging-phase implementation:
+#: merge path -> (HMJ class, PMJ class).  ``"scalar"`` selects the
+#: variants whose merging phase runs the scalar oracle pass.
+SORT_MERGE_CLASSES: dict[str, tuple[type, type]] = {
+    "scalar": (ScalarMergeHashMergeJoin, ScalarMergeProgressiveMergeJoin),
+    "columnar": (HashMergeJoin, ProgressiveMergeJoin),
+}
+
+#: Merging-phase implementations the ``merge_path`` axis selects from.
+MERGE_PATH_CHOICES = tuple(SORT_MERGE_CLASSES)
 
 #: operator name -> factory(memory_budget, scale) -> fresh unbound
 #: operator.  Ripple and SHJ have no spill path, so they run without a
 #: budget (a budget would abort the run instead of flushing); ripple
-#: additionally needs the relation sizes for its estimator.
+#: additionally needs the relation sizes for its estimator.  The
+#: sort-merge family's factories also take a ``merge_path`` (a
+#: :data:`SORT_MERGE_CLASSES` key).
 OPERATORS = {
-    "hmj": lambda memory, scale, merge_path="columnar": HashMergeJoin(
-        HMJConfig(memory_capacity=memory, merge_path=merge_path)
-    ),
+    "hmj": lambda memory, scale, merge_path="columnar": SORT_MERGE_CLASSES[
+        merge_path
+    ][0](HMJConfig(memory_capacity=memory)),
     "xjoin": lambda memory, scale: XJoin(memory_capacity=memory),
-    "pmj": lambda memory, scale, merge_path="columnar": ProgressiveMergeJoin(
-        memory_capacity=memory, merge_path=merge_path
-    ),
+    "pmj": lambda memory, scale, merge_path="columnar": SORT_MERGE_CLASSES[
+        merge_path
+    ][1](memory_capacity=memory),
     "dphj": lambda memory, scale: DoublePipelinedHashJoin(memory_capacity=memory),
     "ripple": lambda memory, scale: RippleJoin(
         n_a=scale.spec.n_a, n_b=scale.spec.n_b
@@ -88,19 +110,19 @@ OPERATORS = {
     # it runs on the skew workloads (the ``--skew-theta`` axis), paired
     # with baseline "hmj" so the matrix certifies adaptivity on *and*
     # off against the same oracle.
-    "hmj-skew": lambda memory, scale, merge_path="columnar": HashMergeJoin(
+    "hmj-skew": lambda memory, scale, merge_path="columnar": SORT_MERGE_CLASSES[
+        merge_path
+    ][0](
         HMJConfig(
             memory_capacity=memory,
             policy=FlushColdestPolicy(),
             hot_split_factor=4,
-            merge_path=merge_path,
         )
     ),
 }
 
-#: Operators with a ``merge_path`` knob — the merge-path conformance
-#: axis only applies to these (the sort-merge family; the hash family
-#: has no merging phase).
+#: The sort-merge family — the merge-path conformance axis only
+#: applies to these (the hash family has no merging phase).
 MERGE_PATH_OPERATORS = ("hmj", "pmj", "hmj-skew")
 
 #: The operators the matrix runs by default (everything except the
@@ -117,20 +139,11 @@ RESIZABLE = ("hmj", "xjoin", "pmj", "dphj", "hmj-skew")
 #: Operators whose runs use the workload memory budget at all.
 BUDGETED = RESIZABLE
 
-#: The delivery axis: label -> (batch_delivery, columnar_delivery)
-#: engine switches.  ``columnar`` only differs from ``batched`` for
-#: operators that support column batches; the cell still runs (and
-#: must agree) either way.
-DELIVERY_PATHS: dict[str, tuple[bool, bool]] = {
-    "columnar": (True, True),
-    "batched": (True, False),
-    "per-event": (False, False),
-}
-
-#: The plan executor's delivery axis: label -> batch_delivery switch
-#: (plans have no columnar tap; batched vs per-event covers both
-#: kernel dispatch paths).
-PLAN_DELIVERY_PATHS: dict[str, bool] = {"batched": True, "per-event": False}
+#: The delivery axis, shared by single joins and plans: label -> the
+#: engine's ``batch_delivery`` switch.  Batched single joins reach
+#: operators with a columnar path as column arrays (the engine picks
+#: that itself); plans and the other operators replay boxed tuples.
+DELIVERY_PATHS: dict[str, bool] = {"batched": True, "per-event": False}
 
 #: Relations per plan cell (4 exercises every shape: a 3-rung chain, a
 #: hub with three shared cursors, a two-level bushy tree).
@@ -218,7 +231,7 @@ class CellOutcome:
 
     workload: str
     operator: str
-    delivery: str  # "columnar" | "batched" | "per-event" | "session"
+    delivery: str  # "batched" | "per-event" | "session"
     resize: bool
     count: int
     clock: float
@@ -245,7 +258,7 @@ def run_cell(
     merge_path: str = "columnar",
 ) -> CellOutcome:
     """Execute one (workload, operator, delivery, resize) cell."""
-    batch_delivery, columnar_delivery = DELIVERY_PATHS[delivery]
+    batch_delivery = DELIVERY_PATHS[delivery]
     rel_a, rel_b = make_relation_pair(case.get("spec", scale.spec))
     source_a = NetworkSource(rel_a, case["arrival_a"](), seed=11)
     source_b = NetworkSource(rel_b, case["arrival_b"](), seed=22)
@@ -273,7 +286,6 @@ def run_cell(
         stop_after=stop_after,
         broker=broker,
         batch_delivery=batch_delivery,
-        columnar_delivery=columnar_delivery,
         checks=checks,
     )
     wall = time.perf_counter() - start
@@ -350,7 +362,7 @@ def run_plan_cell(
 
     The reported triple is the disordered run's.
     """
-    batch_delivery = PLAN_DELIVERY_PATHS[delivery]
+    batch_delivery = DELIVERY_PATHS[delivery]
     relations = make_plan_relations(
         PLAN_N_WAY,
         scale.n_per_source,
@@ -562,7 +574,7 @@ def run_matrix(
     progress=None,
     tenants: int = 1,
     skew_thetas: tuple[float, ...] = (),
-    merge_paths: tuple[str, ...] = ("scalar", "columnar"),
+    merge_paths: tuple[str, ...] = MERGE_PATH_CHOICES,
     plan_shapes: tuple[str, ...] = (),
 ) -> list[CellOutcome]:
     """Run the conformance matrix; returns every cell outcome.
@@ -586,7 +598,7 @@ def run_matrix(
     tuple pins every cell to that path and skips the cross-check.
 
     ``plan_shapes`` is the n-way plan axis: each named shape runs one
-    :func:`run_plan_cell` per plan delivery path (in-order oracle,
+    :func:`run_plan_cell` per delivery path (in-order oracle,
     release-schedule twin, and watermarked disordered run — see the
     cell runner).  The axis is independent of the ``workloads``
     selection, off by default here, and on (all three shapes) by
@@ -599,9 +611,9 @@ def run_matrix(
                 f"unknown plan shape {name!r} (have {', '.join(PLAN_SHAPES)})"
             )
     for name in merge_paths:
-        if name not in ("scalar", "columnar"):
+        if name not in MERGE_PATH_CHOICES:
             raise ValueError(
-                f"unknown merge path {name!r} (have scalar, columnar)"
+                f"unknown merge path {name!r} (have {', '.join(MERGE_PATH_CHOICES)})"
             )
     if not merge_paths:
         raise ValueError("merge_paths must not be empty")
@@ -645,7 +657,7 @@ def run_matrix(
                         resize,
                         merge_path=primary_path,
                     )
-                    if delivery == "columnar":
+                    if delivery == "batched":
                         baseline = outcome
                     outcomes.append(outcome)
                     if progress is not None:
@@ -653,13 +665,13 @@ def run_matrix(
                 if cross_check and operator in MERGE_PATH_OPERATORS:
                     # The merge-path axis: the scalar oracle pass on
                     # the default delivery, pinned triple-identical to
-                    # the columnar cell above.
+                    # the batched cell above.
                     outcome = run_cell(
                         scale,
                         workload,
                         case,
                         operator,
-                        "columnar",
+                        "batched",
                         resize,
                         merge_path="scalar",
                     )
@@ -676,7 +688,7 @@ def run_matrix(
                         progress(outcome)
     if tenants == 1:
         for shape in plan_shapes:
-            for delivery in PLAN_DELIVERY_PATHS:
+            for delivery in DELIVERY_PATHS:
                 outcome = run_plan_cell(scale, shape, delivery)
                 outcomes.append(outcome)
                 if progress is not None:
@@ -715,7 +727,7 @@ def main(argv: list[str] | None = None) -> int:
         description=(
             "Differential + invariant conformance matrix: every streaming "
             "operator vs the blocking oracle across the six figure "
-            "workloads, all three delivery paths, with in-engine checks."
+            "workloads, both delivery paths, with in-engine checks."
         ),
     )
     parser.add_argument(
@@ -755,7 +767,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--merge-path",
-        choices=["both", "scalar", "columnar"],
+        choices=["both", *MERGE_PATH_CHOICES],
         default="both",
         help=(
             "merging-phase axis for the sort-merge family: 'both' (the "
@@ -843,9 +855,7 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     merge_paths = (
-        ("scalar", "columnar")
-        if args.merge_path == "both"
-        else (args.merge_path,)
+        MERGE_PATH_CHOICES if args.merge_path == "both" else (args.merge_path,)
     )
     outcomes = run_matrix(
         scale,

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from repro.bench.kernel import (
     MERGE_FLUSHED_FLOOR,
+    MERGE_SCHEDULERS,
     MERGE_SPEEDUP_GATE,
     merge_point,
     merge_run,
 )
-from repro.core.merging import MERGE_PATHS
 
 
 def test_merge_run_paths_agree_on_triple_and_flushed():
-    outcomes = {path: merge_run(path, 2_000, seed=7) for path in MERGE_PATHS}
+    outcomes = {kind: merge_run(kind, 2_000, seed=7) for kind in MERGE_SCHEDULERS}
     triples = {triple for triple, _, _ in outcomes.values()}
     assert len(triples) == 1
     (count, clock, io) = triples.pop()
@@ -39,9 +39,9 @@ def test_merge_point_schema_and_gate_accounting():
         "speedup_floor": MERGE_SPEEDUP_GATE,
         "flushed_floor": MERGE_FLUSHED_FLOOR,
     }
-    for path in MERGE_PATHS:
-        assert point[path]["wall_seconds"] > 0
-        assert len(point[path]["walls"]) == 1
+    for kind in MERGE_SCHEDULERS:
+        assert point[kind]["wall_seconds"] > 0
+        assert len(point[kind]["walls"]) == 1
     # gate_passed folds in the (timing-dependent) speedup floor; at this
     # scale only its deterministic inputs are assertable.
     assert point["speedup_merge"] > 0

@@ -1,7 +1,8 @@
-"""Scalar/columnar merge-path equivalence and suspension properties.
+"""Merge-pass equivalence with the scalar oracle, under suspension.
 
-The columnar merge pass must be observationally indistinguishable from
-the scalar per-tuple generator: identical result order, identical
+The production (columnar) merge pass must be observationally
+indistinguishable from the scalar per-tuple reference in
+:mod:`repro.testing.scalar_merge`: identical result order, identical
 per-result (time, io, phase) triples, identical final clock and I/O
 totals — and all of that must hold when the pass is suspended at every
 single budget boundary, because the engine can interrupt a merge
@@ -13,16 +14,22 @@ import random
 import pytest
 
 from repro.core.merging import MergeScheduler
+from repro.errors import ConfigurationError
 from repro.metrics.recorder import MetricsRecorder
 from repro.sim.budget import WorkBudget
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.storage.disk import SimulatedDisk
-from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple, make_result
+from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
+from repro.testing.scalar_merge import ScalarMergeScheduler
 
 PAGE = 4
 N_GROUPS = 3
 FAN_IN = 2
+
+#: Merge pass under test -> scheduler class (the scalar oracle and the
+#: production columnar pass).
+SCHEDULERS = {"scalar": ScalarMergeScheduler, "columnar": MergeScheduler}
 
 
 def sorted_tuples(rng, n, source, key_range, tid_start, with_payload=False):
@@ -44,14 +51,13 @@ def build(merge_path):
     clock = VirtualClock()
     disk = SimulatedDisk(clock, CostModel(page_size=PAGE))
     recorder = MetricsRecorder(clock, disk, keep_results=True)
-    scheduler = MergeScheduler(
+    scheduler = SCHEDULERS[merge_path](
         disk=disk,
         clock=clock,
         costs=disk.costs,
         partition_prefix="test",
         fan_in=FAN_IN,
         n_groups=N_GROUPS,
-        merge_path=merge_path,
         recorder=recorder,
     )
     rng = random.Random(42)
@@ -77,25 +83,14 @@ def build(merge_path):
     return scheduler, clock, disk, recorder
 
 
-def emit_via(recorder, clock, costs):
-    """A scalar emit callback with the operator's charge+record shape."""
-
-    def emit(a, b):
-        clock.advance(costs.result_time(1))
-        recorder.record(make_result(a, b), "merging")
-
-    return emit
-
-
 def drain(scheduler, clock, disk, recorder, step=None):
     """Run all merge work; with ``step``, suspend at every boundary."""
-    emit = emit_via(recorder, clock, scheduler._costs)
     if step is None:
-        scheduler.work(WorkBudget.unbounded(clock), emit)
+        scheduler.work(WorkBudget.unbounded(clock))
     else:
         while scheduler.has_result_work():
             budget = WorkBudget(clock=clock, deadline=clock.now + step)
-            scheduler.work(budget, emit)
+            scheduler.work(budget)
     return (
         [e.time for e in recorder.events],
         [e.io for e in recorder.events],
@@ -143,8 +138,6 @@ def test_coarse_suspension_is_invisible(merge_path, scalar_uninterrupted):
 def test_columnar_requires_recorder():
     clock = VirtualClock()
     disk = SimulatedDisk(clock, CostModel())
-    from repro.errors import ConfigurationError
-
     with pytest.raises(ConfigurationError):
         MergeScheduler(
             disk=disk,
@@ -153,15 +146,4 @@ def test_columnar_requires_recorder():
             partition_prefix="x",
             fan_in=2,
             n_groups=1,
-            merge_path="columnar",
-        )
-    with pytest.raises(ConfigurationError):
-        MergeScheduler(
-            disk=disk,
-            clock=clock,
-            costs=disk.costs,
-            partition_prefix="x",
-            fan_in=2,
-            n_groups=1,
-            merge_path="heap",
         )

@@ -10,11 +10,12 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.core.merging import MergeScheduler
+from repro.metrics.recorder import MetricsRecorder
 from repro.sim.budget import WorkBudget
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.storage.disk import SimulatedDisk
-from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple, make_result, result_multiset
+from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple, result_multiset
 
 
 def make_scheduler(n_groups=1, fan_in=2, page_size=4):
@@ -27,6 +28,7 @@ def make_scheduler(n_groups=1, fan_in=2, page_size=4):
         partition_prefix="test",
         fan_in=fan_in,
         n_groups=n_groups,
+        recorder=MetricsRecorder(clock, disk),
     )
     return scheduler, clock, disk
 
@@ -39,10 +41,11 @@ def tuples_of(keys, source, tid_start=0):
 
 
 def collect(scheduler, clock, budget=None):
-    results = []
-    budget = budget or WorkBudget.unbounded(clock)
-    scheduler.work(budget, lambda a, b: results.append(make_result(a, b)))
-    return results
+    """Run merge work; return the results this call emitted."""
+    recorder = scheduler._recorder
+    before = recorder.count
+    scheduler.work(budget or WorkBudget.unbounded(clock))
+    return list(recorder.results)[before:]
 
 
 def test_constructor_validation():

@@ -7,8 +7,12 @@ fails loudly (never corrupts state) when that order is violated.
 import pytest
 
 from conftest import make_runtime
+from repro.core.config import HMJConfig
+from repro.core.hmj import HashMergeJoin
 from repro.errors import ProtocolError
 from repro.joins.base import StreamingJoinOperator
+from repro.joins.pmj import ProgressiveMergeJoin
+from repro.joins.xjoin import XJoin
 from repro.sim.budget import WorkBudget
 from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
 
@@ -34,6 +38,32 @@ def test_unbound_runtime_access_raises():
     for attr in ("runtime", "clock", "disk", "costs", "recorder"):
         with pytest.raises(ProtocolError):
             getattr(op, attr)
+
+
+@pytest.mark.parametrize(
+    "make_operator, accessors",
+    [
+        (
+            lambda: HashMergeJoin(HMJConfig(memory_capacity=100)),
+            ("memory", "table", "scheduler", "state_summary"),
+        ),
+        (lambda: XJoin(memory_capacity=100), ("memory", "table")),
+        (
+            lambda: ProgressiveMergeJoin(memory_capacity=100),
+            ("memory", "scheduler"),
+        ),
+    ],
+    ids=["hmj", "xjoin", "pmj"],
+)
+def test_unbound_state_accessors_raise_protocol_error(make_operator, accessors):
+    # Runtime-built state (pool, table, scheduler) is typed-unavailable
+    # before bind: a ProtocolError, not a bare assertion or None access.
+    op = make_operator()
+    for name in accessors:
+        with pytest.raises(ProtocolError, match="must be bound"):
+            attr = getattr(op, name)
+            if callable(attr):
+                attr()
 
 
 def test_double_bind_raises():

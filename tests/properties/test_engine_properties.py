@@ -16,6 +16,7 @@ from repro.core.merging import MergeScheduler
 from repro.joins.blocking import hash_join
 from repro.joins.pmj import ProgressiveMergeJoin
 from repro.joins.xjoin import XJoin
+from repro.metrics.recorder import MetricsRecorder
 from repro.net.arrival import TraceArrival
 from repro.net.source import NetworkSource
 from repro.sim.budget import WorkBudget
@@ -28,7 +29,6 @@ from repro.storage.tuples import (
     SOURCE_B,
     Relation,
     Tuple,
-    make_result,
     result_multiset,
 )
 
@@ -88,6 +88,7 @@ def test_merge_scheduler_exact_under_random_interruption(
     """Random budget slicing must neither lose nor duplicate pairs."""
     clock = VirtualClock()
     disk = SimulatedDisk(clock, CostModel(page_size=3, io_cost=0.01))
+    recorder = MetricsRecorder(clock, disk)
     scheduler = MergeScheduler(
         disk=disk,
         clock=clock,
@@ -95,6 +96,7 @@ def test_merge_scheduler_exact_under_random_interruption(
         partition_prefix="prop",
         fan_in=fan_in,
         n_groups=1,
+        recorder=recorder,
     )
     expected = 0
     all_blocks: list[tuple[int, list[Tuple], list[Tuple]]] = []
@@ -128,13 +130,11 @@ def test_merge_scheduler_exact_under_random_interruption(
                     if ta.key == tb.key:
                         expected_pairs.add((ta.identity(), tb.identity()))
 
-    produced: list = []
-    emit = lambda a, b: produced.append(make_result(a, b))
     # Random interruption schedule, then run to completion.
     for s in slices:
-        scheduler.work(WorkBudget(clock=clock, deadline=clock.now + s), emit)
-    scheduler.work(WorkBudget.unbounded(clock), emit)
-    counts = result_multiset(produced)
+        scheduler.work(WorkBudget(clock=clock, deadline=clock.now + s))
+    scheduler.work(WorkBudget.unbounded(clock))
+    counts = result_multiset(recorder.results)
     assert set(counts) == expected_pairs
     assert all(v == 1 for v in counts.values())
     assert not scheduler.has_result_work()

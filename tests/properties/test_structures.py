@@ -17,8 +17,9 @@ from repro.sim.costs import CostModel
 from repro.storage.disk import SimulatedDisk
 from repro.storage.memory import MemoryPool
 from repro.storage.pages import page_utilisation, pages_needed, split_into_pages
-from repro.storage.runs import SortedRun, merge_sorted_runs
+from repro.storage.runs import SortedRun
 from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
+from repro.testing.scalar_merge import merge_sorted_runs
 
 
 @given(

@@ -1,20 +1,23 @@
-"""Delivery-path equivalence: per-tuple vs fused-batch vs columnar.
+"""Delivery-path equivalence: per-tuple vs batched.
 
-Run-batch delivery (``EventScheduler`` batch groups plus the operators'
-``on_tuple_batch`` fast paths) and columnar delivery (the same runs as
-:class:`~repro.core.columnar.ColumnBatch` arrays, vectorized run
-extraction included) are amortisations, never simulation changes: for
-any workload all three kernel paths must produce the identical
+Run-batch delivery (``EventScheduler`` batch groups) is an
+amortisation, never a simulation change.  Operators with a columnar
+path receive each run as :class:`~repro.core.columnar.ColumnBatch`
+arrays (vectorized run extraction included); the rest, and subclasses
+that override ``on_tuple``, replay the boxed run through ``on_tuple``.
+For any workload both kernel paths must produce the identical
 ``(count, final clock, io)`` triple *and* the identical result-event
 sequence.  This suite pins that equivalence three ways:
 
 * every cell of the six pinned figure benchmarks (the exact scenarios
-  ``test_determinism.py`` captures) through all three paths;
+  ``test_determinism.py`` captures) through both paths, plus the two
+  operators that reach batches only through the boxed replay (the
+  static-memory XJoin variant and DPHJ);
 * a randomized property test over arrival models (constant / Poisson /
   Pareto), tiny memory budgets that force flushing mid-run (segmented
   columnar batches with mid-batch flush points), and early stops that
   land mid-batch;
-* an explicit ``stop_after`` granularity check: the batched paths must
+* an explicit ``stop_after`` granularity check: the batched path must
   halt after the same number of delivered tuples as the per-tuple path,
   not at the end of the batch the stop fired in.
 """
@@ -31,8 +34,9 @@ from repro.bench.scale import BenchScale
 from repro.core.config import HMJConfig
 from repro.core.flushing import FlushSmallestPolicy
 from repro.core.hmj import HashMergeJoin
+from repro.joins.dphj import DoublePipelinedHashJoin
 from repro.joins.pmj import ProgressiveMergeJoin
-from repro.joins.xjoin import XJoin
+from repro.joins.xjoin import XJoin, XJoinStaticMemory
 from repro.net.arrival import ConstantRate, ParetoArrival, PoissonArrival
 from repro.net.source import NetworkSource
 from repro.sim.engine import run_join
@@ -40,11 +44,10 @@ from repro.workloads.generator import WorkloadSpec, make_relation_pair
 
 SCALE = BenchScale(n_per_source=400, seed=7)
 
-#: The full delivery axis: label -> engine path switches.
+#: The delivery axis: label -> engine path switch.
 PATHS = {
-    "per_tuple": {"batch_delivery": False, "columnar_delivery": False},
-    "fused": {"batch_delivery": True, "columnar_delivery": False},
-    "columnar": {"batch_delivery": True, "columnar_delivery": True},
+    "per_tuple": {"batch_delivery": False},
+    "batched": {"batch_delivery": True},
 }
 
 
@@ -130,6 +133,24 @@ def _figure_cells():
             lambda: ProgressiveMergeJoin(memory_capacity=memory), _burst, _burst,
             {"blocking_threshold": BLOCKING_T},
         ),
+        # Boxed-replay operators: the static-memory variant overrides
+        # on_tuple, so its columnar batches go through the base
+        # to_tuples -> on_tuple_batch replay; DPHJ has no columnar path.
+        "fig11-xjoin-static": (
+            lambda: XJoinStaticMemory(memory_capacity=memory), _fast, _fast, {},
+        ),
+        "fig11-dphj": (
+            lambda: DoublePipelinedHashJoin(memory_capacity=memory),
+            _fast, _fast, {},
+        ),
+        "fig14-xjoin-static": (
+            lambda: XJoinStaticMemory(memory_capacity=memory), _burst, _burst,
+            {"blocking_threshold": BLOCKING_T},
+        ),
+        "fig14-dphj": (
+            lambda: DoublePipelinedHashJoin(memory_capacity=memory),
+            _burst, _burst, {"blocking_threshold": BLOCKING_T},
+        ),
     }
 
 
@@ -137,8 +158,7 @@ def _figure_cells():
 def test_figure_cells_identical_through_all_paths(cell):
     make_operator, arr_a, arr_b, kwargs = _figure_cells()[cell]
     signatures = _all_paths(make_operator, arr_a, arr_b, **kwargs)
-    assert signatures["fused"] == signatures["per_tuple"]
-    assert signatures["columnar"] == signatures["per_tuple"]
+    assert signatures["batched"] == signatures["per_tuple"]
 
 
 # -- randomized equivalence --------------------------------------------------
@@ -182,8 +202,7 @@ def test_batched_paths_equivalent_on_random_workloads(
             **path,
         )
         signatures[label] = _signature(result)
-    assert signatures["fused"] == signatures["per_tuple"]
-    assert signatures["columnar"] == signatures["per_tuple"]
+    assert signatures["batched"] == signatures["per_tuple"]
 
 
 # -- early-stop granularity --------------------------------------------------
@@ -220,9 +239,8 @@ def test_stop_after_halts_with_single_result_granularity():
             src_a.delivered,
             src_b.delivered,
         )
-    assert outcomes["fused"] == outcomes["per_tuple"]
-    assert outcomes["columnar"] == outcomes["per_tuple"]
-    signature, delivered_a, delivered_b = outcomes["columnar"]
+    assert outcomes["batched"] == outcomes["per_tuple"]
+    signature, delivered_a, delivered_b = outcomes["batched"]
     assert signature[0] >= stop_after
     # The stop fired strictly inside the input, not at stream end.
     assert delivered_a + delivered_b < 2 * SCALE.n_per_source
@@ -255,5 +273,4 @@ def test_retained_results_identical_across_paths(op_kind):
         sequences[label] = [
             (r.left.identity(), r.right.identity()) for r in result.results
         ]
-    assert sequences["fused"] == sequences["per_tuple"]
-    assert sequences["columnar"] == sequences["per_tuple"]
+    assert sequences["batched"] == sequences["per_tuple"]

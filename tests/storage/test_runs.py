@@ -1,4 +1,4 @@
-"""Unit tests for sorted runs, merge iterators, and paged writers."""
+"""Unit tests for sorted runs and the scalar oracle's merge primitives."""
 
 import pytest
 
@@ -6,8 +6,13 @@ from repro.errors import StorageError
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.storage.disk import SimulatedDisk
-from repro.storage.runs import PagedRunWriter, SortedRun, key_merge_iterator, merge_sorted_runs
+from repro.storage.runs import SortedRun
 from repro.storage.tuples import Tuple
+from repro.testing.scalar_merge import (
+    PagedRunWriter,
+    key_merge_iterator,
+    merge_sorted_runs,
+)
 
 
 def make_disk(page_size=4):

@@ -30,13 +30,12 @@ def test_run_matrix_quick_subset_is_clean():
     outcomes = run_matrix(
         scale, quick=True, operators=["hmj", "shj"], workloads=["fig11"]
     )
-    # 2 operators x 1 workload x 3 delivery paths, no resize cells,
+    # 2 operators x 1 workload x 2 delivery paths, no resize cells,
     # plus one scalar merge-path cell for hmj (shj has no merge phase).
-    assert len(outcomes) == 7
+    assert len(outcomes) == 5
     assert all(o.ok for o in outcomes), [o.violations for o in outcomes]
     assert all(not o.resize for o in outcomes)
     deliveries = {(o.operator, o.delivery) for o in outcomes}
-    assert ("hmj", "columnar") in deliveries
     assert ("hmj", "batched") in deliveries
     assert ("hmj", "per-event") in deliveries
     scalar_cells = [o for o in outcomes if o.merge_path == "scalar"]
@@ -46,9 +45,9 @@ def test_run_matrix_quick_subset_is_clean():
 def test_run_matrix_full_mode_adds_resize_cells():
     scale = BenchScale(n_per_source=100, seed=7)
     outcomes = run_matrix(scale, quick=False, operators=["hmj"], workloads=["fig11"])
-    # {plain, resize} x (3 delivery paths + 1 scalar merge-path cell).
-    assert len(outcomes) == 8
-    assert sum(o.resize for o in outcomes) == 4
+    # {plain, resize} x (2 delivery paths + 1 scalar merge-path cell).
+    assert len(outcomes) == 6
+    assert sum(o.resize for o in outcomes) == 3
     assert all(o.ok for o in outcomes), [o.violations for o in outcomes]
 
 
@@ -61,7 +60,7 @@ def test_run_matrix_merge_path_axis_can_be_pinned():
         workloads=["fig11"],
         merge_paths=("columnar",),
     )
-    assert len(columnar_only) == 3  # no scalar cross-check cell
+    assert len(columnar_only) == 2  # no scalar cross-check cell
     assert {o.merge_path for o in columnar_only} == {"columnar"}
     scalar_only = run_matrix(
         scale,
@@ -143,7 +142,7 @@ def test_main_exits_nonzero_on_violation(tmp_path, capsys, monkeypatch):
     ])
     assert code == 1
     report = json.loads(report_path.read_text())
-    assert report["cells_failed"] == report["cells_total"] == 3
+    assert report["cells_failed"] == report["cells_total"] == 2
     assert report["violations_total"] > 0
     assert any("duplicate" in v for c in report["cells"] for v in c["violations"])
     assert "FAIL" in capsys.readouterr().out
@@ -244,10 +243,10 @@ def test_skew_axis_is_clean_with_adaptivity_on_and_off():
     outcomes = run_matrix(
         scale, quick=True, workloads=["skew-t1"], skew_thetas=(1.0,)
     )
-    # The fixed pair (baseline hmj, skew-adaptive hmj) x 3 deliveries,
+    # The fixed pair (baseline hmj, skew-adaptive hmj) x 2 deliveries,
     # plus one scalar merge-path cell each.
     assert {o.operator for o in outcomes} == {"hmj", "hmj-skew"}
-    assert len(outcomes) == 8
+    assert len(outcomes) == 6
     assert all(o.ok for o in outcomes), [o.violations for o in outcomes]
     # All delivery paths AND both merge paths of each operator agree
     # on the triple.
@@ -311,7 +310,7 @@ def test_main_skew_theta_none_disables_axis(tmp_path):
 
 
 def test_plan_shape_axis_is_clean_and_crossed_with_delivery():
-    from repro.testing.conformance import PLAN_DELIVERY_PATHS
+    from repro.testing.conformance import DELIVERY_PATHS
 
     scale = BenchScale(n_per_source=100, seed=7)
     outcomes = run_matrix(
@@ -325,7 +324,7 @@ def test_plan_shape_axis_is_clean_and_crossed_with_delivery():
     assert {(o.workload, o.delivery) for o in plan_cells} == {
         (f"plan-{shape}", delivery)
         for shape in ("chain", "bushy")
-        for delivery in PLAN_DELIVERY_PATHS
+        for delivery in DELIVERY_PATHS
     }
     assert all(o.ok for o in plan_cells), [o.violations for o in plan_cells]
     # Both delivery paths of a shape agree on the triple.
