@@ -37,6 +37,7 @@ from typing import Callable, Protocol, TYPE_CHECKING
 
 import numpy as np
 
+from repro.errors import SimulationError
 from repro.storage.tuples import SOURCE_A, SOURCE_B, JoinResult, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -195,14 +196,16 @@ def _segment_results(
 ) -> ResultColumns:
     """Gather one segment's match pairs into lazy result columns."""
     pr = plan.probe_rows
-    assert pr is not None and plan.build_tids is not None
+    build_tids = plan.build_tids
+    if pr is None or build_tids is None:
+        raise SimulationError("a matched segment was probed without pairs")
     probe_pays = None
     if pays is not None:
         probe_pays = [pays[r] for r in pr.tolist()]
     return ResultColumns(
         keys=keys[pr],
         probe_tids=tids[pr],
-        build_tids=plan.build_tids,
+        build_tids=build_tids,
         probe_is_a=isa[pr],
         probe_payloads=probe_pays,
         build_payloads=plan.build_payloads,

@@ -21,15 +21,18 @@ snapshots); the hot paths never touch one.
 
 :meth:`DualHashTable.probe_insert_batch` is the array-native core of
 the columnar data plane: one vectorized hash pass bucketizes a whole
-delivery batch, grouping/matching run on ``argsort``/``cumsum``
-segments, matches come back as emission-ordered ``(probe_row,
-build_tid)`` columns, and the summary table is updated with per-group
-delta arrays instead of ``add_one`` per tuple.
+delivery batch, grouping and matching run on ``argsort``/``cumsum``
+segments — stored and intra-batch matches alike in one key-sorted join
+over the touched buckets and the batch — matches come back as
+emission-ordered ``(probe_row, build_tid)`` columns, and the summary
+table is updated with per-group delta arrays instead of ``add_one``
+per tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +100,13 @@ def _run_bounds(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
+def _gather(cols: list[list[int]], buckets: list[int], total: int) -> np.ndarray:
+    """Concatenate the int columns of ``buckets`` (``total`` entries)."""
+    return np.fromiter(
+        chain.from_iterable(map(cols.__getitem__, buckets)), np.int64, total
+    )
+
+
 class DualHashTable:
     """Paired in-memory hash tables for sources A and B.
 
@@ -138,11 +148,11 @@ class DualHashTable:
         # every existing per-bucket code path (probe, insert, batch
         # kernel, extraction) works on split groups unchanged once the
         # bucket index is remapped.  All empty/None while nothing is
-        # split — the hot paths gate on a falsy dict.
+        # split — the hot paths gate on a falsy dict (or on the
+        # per-bucket (extension start, factor) arrays being None).
         self._split_base: dict[int, tuple[int, int]] = {}
         self._split_groups: dict[int, int] = {}
-        self._split_base_arr: np.ndarray | None = None
-        self._split_factor_arr: np.ndarray | None = None
+        self._split_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._split_epoch = 0
 
     @property
@@ -186,8 +196,8 @@ class DualHashTable:
         h = keys.astype(np.uint64) * np.uint64(_HASH_MULTIPLIER)
         h &= np.uint64(_HASH_MASK)
         buckets = (h % np.uint64(self._n_buckets)).astype(np.int64)
-        if self._split_base:
-            self._remap_split(buckets, keys)
+        if self._split_arrays is not None:
+            self._remap_split(buckets, keys, *self._split_arrays)
         return buckets
 
     def subhash_batch(self, keys: np.ndarray, factor: int) -> np.ndarray:
@@ -201,26 +211,30 @@ class DualHashTable:
         h &= np.uint64(_HASH_MASK)
         return (h % np.uint64(factor)).astype(np.int64)
 
-    def _remap_split(self, buckets: np.ndarray, keys: np.ndarray) -> None:
+    @staticmethod
+    def _remap_split(
+        buckets: np.ndarray, keys: np.ndarray, base: np.ndarray, fac: np.ndarray
+    ) -> None:
         """Route rows aimed at split base buckets to their extensions."""
-        assert self._split_base_arr is not None
-        assert self._split_factor_arr is not None
-        starts = self._split_base_arr[buckets]
+        starts = base[buckets]
         mask = starts >= 0
         if not mask.any():
             return
         sub_keys = keys[mask]
         h2 = sub_keys.astype(np.uint64) * np.uint64(_HASH_MULTIPLIER2)
         h2 &= np.uint64(_HASH_MASK)
-        factors = self._split_factor_arr[buckets[mask]].astype(np.uint64)
+        factors = fac[buckets[mask]].astype(np.uint64)
         buckets[mask] = starts[mask] + (h2 % factors).astype(np.int64)
 
-    def group_of_bucket(self, bucket: int) -> int:
-        """Group index a bucket (base or extension) belongs to."""
+    def _check_bucket(self, bucket: int) -> None:
         if not 0 <= bucket < len(self._group_of):
             raise ConfigurationError(
                 f"bucket {bucket} out of range [0, {len(self._group_of)})"
             )
+
+    def group_of_bucket(self, bucket: int) -> int:
+        """Group index a bucket (base or extension) belongs to."""
+        self._check_bucket(bucket)
         return self._group_of[bucket]
 
     def group_of_key(self, key: int) -> int:
@@ -406,6 +420,10 @@ class DualHashTable:
         ``need_pairs``) the exact emission order are identical, because
         matches replay the per-tuple scan order — existing entries by
         column position, then earlier batch rows by insertion position.
+        Both kinds of match come from one stable key sort of the touched
+        buckets' stored tuples followed by the batch rows (equal keys
+        share a bucket), so the cost follows the segment and the touched
+        buckets' populations, not the number of buckets touched.
         With ``need_pairs=False`` only the per-row counts are computed
         (what a ``keep_results=False`` run needs for its clock charges).
         """
@@ -419,8 +437,6 @@ class DualHashTable:
                 runs_a=[],
                 runs_b=[],
             )
-        summary_total = self._summary.total
-
         # Group rows by bucket, stably: within a bucket run, sorted
         # position order IS arrival order.
         order_b = np.argsort(buckets, kind="stable")
@@ -440,70 +456,43 @@ class DualHashTable:
         keys_a_cols, keys_b_cols = self._keys_a, self._keys_b
         n_runs = len(run_buckets)
         base_a_run = np.fromiter(
-            (len(keys_a_cols[b]) for b in run_buckets), np.int64, n_runs
+            map(len, map(keys_a_cols.__getitem__, run_buckets)), np.int64, n_runs
         )
         base_b_run = np.fromiter(
-            (len(keys_b_cols[b]) for b in run_buckets), np.int64, n_runs
+            map(len, map(keys_b_cols.__getitem__, run_buckets)), np.int64, n_runs
         )
         base_a = np.repeat(base_a_run, run_lens)
         base_b = np.repeat(base_b_run, run_lens)
 
-        # Opposite-bucket population each row scans = candidates; own
-        # insertion position = where later rows will find this one.
+        # Opposite-bucket population each row scans = candidates.
         cand_sorted = np.where(ia_sorted, base_b + prior_b, base_a + prior_a)
         candidates = np.empty(n, dtype=np.int64)
         candidates[order_b] = cand_sorted
-        own_pos = np.empty(n, dtype=np.int64)
-        own_pos[order_b] = np.where(ia_sorted, base_a + prior_a, base_b + prior_b)
 
-        collect_pays = need_pairs and (
-            payloads is not None or self._any_payloads()
-        )
-        chunk_probe: list[np.ndarray] = []
-        chunk_order: list[np.ndarray] = []
-        chunk_tid: list[np.ndarray] = []
-        chunk_pay: list[list] = []
-        exist_counts: np.ndarray | None = None
-
-        # Matches against already-stored tuples: a per-run pass (only
-        # non-empty buckets that this batch touches), each an outer
-        # equality over (batch rows of one side) x (existing column of
-        # the other).  Skipped wholesale when the table is empty — the
-        # mega-batch case the kernel benchmark measures.
-        if summary_total:
-            exist_counts = np.zeros(n, dtype=np.int64)
-            starts_l = starts.tolist()
-            ends_l = ends.tolist()
-            base_a_l = base_a_run.tolist()
-            base_b_l = base_b_run.tolist()
-            for j, b in enumerate(run_buckets):
-                if not base_a_l[j] and not base_b_l[j]:
-                    continue
-                s, e = starts_l[j], ends_l[j]
-                rows = order_b[s:e]
-                sel_a = ia_sorted[s:e]
-                if base_b_l[j]:
-                    self._existing_matches(
-                        rows[sel_a], keys, self._keys_b[b], self._tids_b[b],
-                        self._pays_b[b], exist_counts, need_pairs,
-                        collect_pays, chunk_probe, chunk_order, chunk_tid,
-                        chunk_pay,
-                    )
-                if base_a_l[j]:
-                    self._existing_matches(
-                        rows[~sel_a], keys, self._keys_a[b], self._tids_a[b],
-                        self._pays_a[b], exist_counts, need_pairs,
-                        collect_pays, chunk_probe, chunk_order, chunk_tid,
-                        chunk_pay,
-                    )
-
-        # Intra-batch matches, fully vectorized: equal keys imply the
-        # same bucket, so grouping by key alone finds every
-        # batch-internal pair; prior opposite-source rows in the key
-        # run are exactly the stored rows an arrival would scan.
-        order_k = np.argsort(keys, kind="stable")
-        sk = keys[order_k]
-        ia_k = is_a[order_k]
+        # Matches, stored and intra-batch alike, in one key-sorted join:
+        # equal keys imply the same bucket, so the touched buckets'
+        # stored tuples followed by the batch rows, stably key-sorted,
+        # line each key up in per-tuple scan order — stored entries by
+        # bucket position, then batch rows by arrival.  A row's matches
+        # are the opposite-source entries before it in its key run.
+        # The stored part is skipped when the touched buckets are empty
+        # — the mega-batch case the kernel benchmark measures.
+        stored_a = int(base_a_run.sum())
+        stored_b = int(base_b_run.sum())
+        n_stored = stored_a + stored_b
+        all_keys, all_isa = keys, is_a
+        if n_stored:
+            all_keys = np.concatenate((
+                _gather(keys_a_cols, run_buckets, stored_a),
+                _gather(keys_b_cols, run_buckets, stored_b),
+                keys,
+            ))
+            all_isa = np.concatenate((
+                np.ones(stored_a, dtype=bool), np.zeros(stored_b, dtype=bool), is_a
+            ))
+        order_k = np.argsort(all_keys, kind="stable")
+        sk = all_keys[order_k]
+        ia_k = all_isa[order_k]
         kstarts, kends = _run_bounds(sk)
         klens = kends - kstarts
         ia_k_int = ia_k.astype(np.int64)
@@ -511,63 +500,59 @@ class DualHashTable:
         kexc_b = np.cumsum(1 - ia_k_int) - (1 - ia_k_int)
         kprior_a = kexc_a - np.repeat(kexc_a[kstarts], klens)
         kprior_b = kexc_b - np.repeat(kexc_b[kstarts], klens)
-        m_intra_sorted = np.where(ia_k, kprior_b, kprior_a)
-
-        match_counts = np.empty(n, dtype=np.int64)
-        match_counts[order_k] = m_intra_sorted
-        if exist_counts is not None:
-            match_counts += exist_counts
-        total_matches = int(match_counts.sum())
-
-        intra_total = int(m_intra_sorted.sum())
-        if need_pairs and intra_total:
-            # Enumerate pairs with the concatenated-aranges trick:
-            # probe row r (with m builds) contributes builds
-            # opposite_rows[off_r + 0 .. off_r + m-1].
-            a_rows_k = order_k[ia_k]
-            b_rows_k = order_k[~ia_k]
-            off_a = kexc_a[kstarts]
-            off_b = kexc_b[kstarts]
-            opp_off = np.where(
-                ia_k, np.repeat(off_b, klens), np.repeat(off_a, klens)
-            )
-            cnt = m_intra_sorted
-            probe_rep = np.repeat(order_k, cnt)
-            isa_rep = np.repeat(ia_k, cnt)
-            csum = np.cumsum(cnt)
-            within = np.arange(intra_total, dtype=np.int64) - np.repeat(
-                csum - cnt, cnt
-            )
-            src_idx = np.repeat(opp_off, cnt) + within
-            build_rows = np.empty(intra_total, dtype=np.int64)
-            build_rows[isa_rep] = b_rows_k[src_idx[isa_rep]]
-            build_rows[~isa_rep] = a_rows_k[src_idx[~isa_rep]]
-            chunk_probe.append(probe_rep)
-            chunk_order.append(own_pos[build_rows])
-            chunk_tid.append(tids[build_rows])
-            if collect_pays:
-                if payloads is None:
-                    chunk_pay.append([None] * intra_total)
-                else:
-                    chunk_pay.append([payloads[r] for r in build_rows.tolist()])
+        # Stored entries are build sides only: they probe nothing.
+        cnt = np.where(ia_k, kprior_b, kprior_a)
+        if n_stored:
+            cnt[order_k < n_stored] = 0
+        match_counts = np.empty(n_stored + n, dtype=np.int64)
+        match_counts[order_k] = cnt
+        match_counts = match_counts[n_stored:]
+        total_matches = int(cnt.sum())
 
         probe_rows: np.ndarray | None = None
         build_tids: np.ndarray | None = None
         build_pays: list | None = None
         if need_pairs and total_matches:
-            probe_all = np.concatenate(chunk_probe)
-            order_all = np.concatenate(chunk_order)
-            tid_all = np.concatenate(chunk_tid)
-            # Emission order: probe (arrival) position, then the build
-            # side's position in its bucket — the per-tuple scan order.
-            sel = np.lexsort((order_all, probe_all))
-            probe_rows = probe_all[sel]
-            build_tids = tid_all[sel]
-            if collect_pays:
-                pay_all: list = []
-                for chunk in chunk_pay:
-                    pay_all.extend(chunk)
-                build_pays = [pay_all[i] for i in sel.tolist()]
+            # Enumerate pairs with the concatenated-aranges trick:
+            # entry r (with m builds) contributes builds
+            # opposite_entries[off_r + 0 .. off_r + m-1].
+            a_rows_k = order_k[ia_k]
+            b_rows_k = order_k[~ia_k]
+            opp_off = np.where(
+                ia_k,
+                np.repeat(kexc_b[kstarts], klens),
+                np.repeat(kexc_a[kstarts], klens),
+            )
+            probe_rep = np.repeat(order_k, cnt)
+            isa_rep = np.repeat(ia_k, cnt)
+            csum = np.cumsum(cnt)
+            within = np.arange(total_matches, dtype=np.int64) - np.repeat(
+                csum - cnt, cnt
+            )
+            src_idx = np.repeat(opp_off, cnt) + within
+            build = np.empty(total_matches, dtype=np.int64)
+            build[isa_rep] = b_rows_k[src_idx[isa_rep]]
+            build[~isa_rep] = a_rows_k[src_idx[~isa_rep]]
+            # Emission order: probe (arrival) position; each row's
+            # builds already come in scan order.
+            sel = np.argsort(probe_rep, kind="stable")
+            probe_rows = probe_rep[sel] - n_stored
+            build = build[sel]
+            all_tids = tids
+            if n_stored:
+                all_tids = np.concatenate((
+                    _gather(self._tids_a, run_buckets, stored_a),
+                    _gather(self._tids_b, run_buckets, stored_b),
+                    tids,
+                ))
+            build_tids = all_tids[build]
+            if payloads is not None or self._any_payloads():
+                all_pays = list(chain(
+                    self._gather_payloads(SOURCE_A, run_buckets),
+                    self._gather_payloads(SOURCE_B, run_buckets),
+                    payloads if payloads is not None else repeat(None, n),
+                ))
+                build_pays = [all_pays[i] for i in build.tolist()]
 
         # Bulk inserts: per-source, per-bucket-run column extends.
         runs_a = self._bulk_insert(
@@ -604,42 +589,13 @@ class DualHashTable:
             c is not None for c in self._pays_b
         )
 
-    @staticmethod
-    def _existing_matches(
-        probe_rows: np.ndarray,
-        keys: np.ndarray,
-        key_col: list[int],
-        tid_col: list[int],
-        pay_col: list | None,
-        exist_counts: np.ndarray,
-        need_pairs: bool,
-        collect_pays: bool,
-        chunk_probe: list[np.ndarray],
-        chunk_order: list[np.ndarray],
-        chunk_tid: list[np.ndarray],
-        chunk_pay: list[list],
-    ) -> None:
-        """Match one bucket-run of batch rows against one stored column."""
-        if not len(probe_rows):
-            return
-        col = np.asarray(key_col, dtype=np.int64)
-        eq = keys[probe_rows][:, None] == col[None, :]
-        counts = eq.sum(axis=1)
-        if not counts.any():
-            return
-        # probe_rows are distinct rows, so fancy-index add is safe.
-        exist_counts[probe_rows] += counts
-        if not need_pairs:
-            return
-        pi, ci = np.nonzero(eq)
-        chunk_probe.append(probe_rows[pi])
-        chunk_order.append(ci)
-        chunk_tid.append(np.asarray(tid_col, dtype=np.int64)[ci])
-        if collect_pays:
-            if pay_col is None:
-                chunk_pay.append([None] * len(ci))
-            else:
-                chunk_pay.append([pay_col[j] for j in ci.tolist()])
+    def _gather_payloads(self, source: str, buckets: list[int]) -> chain:
+        """The payloads of ``buckets``, in :func:`_gather` order."""
+        keys_cols, _, pays_cols = self._columns(source)
+        return chain.from_iterable(
+            repeat(None, len(keys_cols[b])) if pays_cols[b] is None else pays_cols[b]
+            for b in buckets
+        )
 
     @staticmethod
     def _bulk_insert(
@@ -884,8 +840,7 @@ class DualHashTable:
         """Refresh the vectorized twins after a split/merge/trim."""
         self._group_arr = np.asarray(self._group_of, dtype=np.int64)
         if not self._split_base:
-            self._split_base_arr = None
-            self._split_factor_arr = None
+            self._split_arrays = None
             return
         size = len(self._group_of)
         base = np.full(size, -1, dtype=np.int64)
@@ -893,8 +848,7 @@ class DualHashTable:
         for b, (ext_start, factor) in self._split_base.items():
             base[b] = ext_start
             fac[b] = factor
-        self._split_base_arr = base
-        self._split_factor_arr = fac
+        self._split_arrays = (base, fac)
 
     # -- extraction and inspection ----------------------------------------
 
@@ -986,13 +940,15 @@ class DualHashTable:
         return dropped
 
     def bucket_size(self, source: str, bucket: int) -> int:
-        """Population of one bucket."""
+        """Population of one bucket (base or extension)."""
         keys_cols, _, _ = self._columns(source)
+        self._check_bucket(bucket)
         return len(keys_cols[bucket])
 
     def bucket_contents(self, source: str, bucket: int) -> list[Tuple]:
         """One bucket's tuples, boxed (XJoin's stage 2 snapshots these)."""
         keys_cols, tids_cols, pays_cols = self._columns(source)
+        self._check_bucket(bucket)
         return self._materialise(
             source, keys_cols[bucket], tids_cols[bucket], pays_cols[bucket]
         )

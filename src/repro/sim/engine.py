@@ -452,6 +452,8 @@ def run_join(
         costs: Cost model (defaults to :class:`CostModel` defaults).
         blocking_threshold: Section 6.3's ``T`` — a source is blocked
             when no tuple arrives within this many virtual seconds.
+            Must be > 0 (NaN raises :class:`ConfigurationError`);
+            ``inf`` means never blocked.
         keep_results: Retain result tuples for correctness checks.
         stop_after: Optionally stop once this many results exist (the
             paper's "first k results" measurements).

@@ -63,7 +63,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.budget import WorkBudget
 from repro.sim.clock import VirtualClock
 from repro.sim.journal import SimulationJournal
@@ -73,6 +73,11 @@ from repro.sim.journal import SimulationJournal
 #: ``t`` is processed).
 _KIND_TIMER = 0
 _KIND_ARRIVAL = 1
+
+#: Floor of the first run-extraction window, and its growth factor when
+#: a window holds no exact cut (see ``_extract_run_arrays``).
+_MIN_WINDOW = 1024
+_WINDOW_GROWTH = 8
 
 PeekFn = Callable[[], "float | None"]
 DeliverFn = Callable[[], None]
@@ -133,7 +138,9 @@ class EventScheduler:
     Attributes:
         clock: The shared virtual clock the loop synchronises.
         blocking_threshold: Section 6.3's ``T`` — a gap longer than
-            this (to the next event) counts as a blocked window.
+            this (to the next event) counts as a blocked window.  Must
+            be > 0 (NaN is rejected); ``inf`` means never blocked, so
+            no window opens and no run is cut at a gap.
         stop_when: Optional early-stop predicate, checked before every
             event and woven into every budget handed to workers.
         journal: Optional structural-event timeline; the kernel records
@@ -174,9 +181,14 @@ class EventScheduler:
     # the loop keeps dispatching even with zero live streams (reorder
     # buffers deliver arrivals from timers, not registered streams).
     _keepalive_seqs: set = field(default_factory=set)
+    # First window of the next columnar run extraction: observed, not
+    # tuned — twice the last extracted run's length.
+    _run_window: int = field(default=_MIN_WINDOW, init=False)
 
     def __post_init__(self) -> None:
-        if self.blocking_threshold <= 0:
+        # ``not > 0`` also rejects NaN, which would compare false
+        # everywhere and silently disable blocked windows and gap cuts.
+        if not self.blocking_threshold > 0:
             raise ConfigurationError(
                 f"blocking_threshold must be > 0, got {self.blocking_threshold!r}"
             )
@@ -400,8 +412,9 @@ class EventScheduler:
                 self.probe()
             return True
         stream = self._streams[index]
-        if self.batching and stream.group is not None:
-            self._dispatch_batch(stream)
+        group = stream.group
+        if self.batching and group is not None:
+            self._dispatch_batch(group)
             if self.probe is not None:
                 self.probe()
             return True
@@ -428,17 +441,15 @@ class EventScheduler:
 
     # -- batch delivery -----------------------------------------------------
 
-    def _dispatch_batch(self, stream: _Stream) -> None:
-        """Deliver the maximal run starting at ``stream``'s popped head.
+    def _dispatch_batch(self, group: _BatchGroup) -> None:
+        """Deliver the maximal run starting at the popped head of ``group``.
 
-        The head entry is already popped and the clock already sits at
-        its arrival time; this extracts how far the run extends, hands
-        it to the group deliverer in one call, then re-reads every
-        member stream to restore the one-pending-entry-per-live-stream
-        heap invariant.
+        The head entry (an arrival of one member) is already popped and
+        the clock already sits at its arrival time; this extracts how
+        far the run extends, hands it to the group deliverer in one
+        call, then re-reads every member stream to restore the
+        one-pending-entry-per-live-stream heap invariant.
         """
-        group = stream.group
-        assert group is not None
         members = group.members
         heap = self._heap
         if len(members) > 1 and heap:
@@ -487,7 +498,7 @@ class EventScheduler:
     def _extract_run_arrays(
         self, members: list[_Stream], bound_time: float, bound_index: int
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Array twin of :meth:`_extract_run`.
+        """Array twin of :meth:`_extract_run`, over growing windows.
 
         Returns ``(indices, times)`` — int64 stream indices and
         float64 arrival times for one maximal run — or ``None`` when a
@@ -496,8 +507,14 @@ class EventScheduler:
         dispatch).  Every cut decision reproduces the scalar
         expressions operation-for-operation, so both paths break runs
         at identical elements.
+
+        Only a window of each member's pending arrivals is merged, so
+        the work tracks the run delivered, not the remaining schedule.
+        The first window is twice the previous run's length (at least
+        :data:`_MIN_WINDOW`); a window without an exact cut grows
+        eightfold until one is found or every window reaches the end
+        of its schedule.
         """
-        threshold = self.blocking_threshold
         bounded = bound_time != float("inf")
         cursors: list[tuple[np.ndarray, int]] = []
         for member in members:
@@ -517,16 +534,50 @@ class EventScheduler:
                 cursors.append((pending, member.index))
         if not cursors or len(cursors) > 2:
             return None
-        if len(cursors) == 1:
-            merged, only_index = cursors[0]
+        window = self._run_window
+        while True:
+            extracted = self._cut_window(cursors, window, bound_time, bound_index)
+            if extracted is not None:
+                self._run_window = max(_MIN_WINDOW, 2 * extracted[1].size)
+                return extracted
+            window *= _WINDOW_GROWTH
+
+    def _cut_window(
+        self,
+        cursors: list[tuple[np.ndarray, int]],
+        window: int,
+        bound_time: float,
+        bound_index: int,
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The run within the first ``window`` arrivals of each cursor.
+
+        Returns ``None`` when the windows cannot decide the run: its
+        cut (or its end) may lie at or beyond the last time of a
+        window that stops short of its schedule, where arrivals not
+        yet merged could still sort in.
+        """
+        threshold = self.blocking_threshold
+        # Unmerged arrivals are >= their window's last time, so every
+        # merged element strictly below ``limit`` sits exactly where
+        # the full merge would put it.
+        limit = float("inf")
+        windows: list[tuple[np.ndarray, int]] = []
+        for pending, index in cursors:
+            if pending.size > window:
+                pending = pending[:window]
+                limit = min(limit, pending[-1])
+            windows.append((pending, index))
+        isa: np.ndarray | None
+        if len(windows) == 1:
+            merged, index_a = windows[0]
+            index_b = index_a
             isa = None
-            index_a = index_b = only_index
         else:
             # Stable two-way merge via searchsorted: cursor 0 holds
             # the lower registration index, so side="left"/"right"
             # land its elements before equal-time elements of cursor
             # 1, matching exact heap order.
-            (ta, index_a), (tb, index_b) = cursors
+            (ta, index_a), (tb, index_b) = windows
             na, nb = ta.size, tb.size
             merged = np.empty(na + nb, dtype=np.float64)
             isa = np.empty(na + nb, dtype=bool)
@@ -539,20 +590,21 @@ class EventScheduler:
         # The same float expression as the scalar walk — t > prev +
         # threshold — so rounding behaves identically element-wise.
         stop = merged[1:] > merged[:-1] + threshold
-        if bounded:
+        if bound_time != float("inf"):
             tail = merged[1:]
             tie_a = index_a < bound_index
             tie_b = index_b < bound_index
-            if tie_a == tie_b:
+            if isa is None or tie_a == tie_b:
                 # t > bound or (t == bound and not tie_ok) collapses
                 # to >= when ties lose and > when ties win.
                 stop |= (tail > bound_time) if tie_a else (tail >= bound_time)
             else:
-                assert isa is not None
                 tie_ok = np.where(isa[1:], tie_a, tie_b)
                 stop |= (tail > bound_time) | ((tail == bound_time) & ~tie_ok)
         hits = np.flatnonzero(stop)
         cut = int(hits[0]) + 1 if hits.size else merged.size
+        if limit != float("inf") and not (cut < merged.size and merged[cut] < limit):
+            return None
         times = merged[:cut]
         if isa is None:
             indices = np.full(cut, index_a, dtype=np.int64)
@@ -576,7 +628,10 @@ class EventScheduler:
         cursors: list[list] = []
         for member in members:
             times_fn = member.times
-            assert times_fn is not None
+            if times_fn is None:
+                raise SimulationError(
+                    f"batched stream {member.index} has no `times` hook"
+                )
             times, pos = times_fn()
             if pos < len(times):
                 # [times, cursor, end, stream index]

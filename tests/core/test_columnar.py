@@ -69,22 +69,29 @@ def test_column_batch_to_tuples_carries_payloads():
 # -- probe_insert_batch vs the scalar path -----------------------------------
 
 
-def _scalar_oracle(table, batch):
-    """Replay the batch through probe_insert; collect the observables."""
+def _scalar_oracle(table, batch, payloads=None):
+    """Replay the batch through probe_insert; collect the observables.
+
+    Returns per-row candidates and match counts, the emission-ordered
+    ``(row, build tid)`` pairs, and the build payload of each pair.
+    """
     candidates = []
     match_counts = []
     pairs = []
+    build_payloads = []
     for i in range(len(batch)):
         t = Tuple(
             key=int(batch.keys[i]),
             tid=int(batch.tids[i]),
             source=SOURCE_A if batch.is_a[i] else SOURCE_B,
+            payload=None if payloads is None else payloads[i],
         )
         matches, cand, _bucket = table.probe_insert(t)
         candidates.append(cand)
         match_counts.append(len(matches))
         pairs.extend((i, m.tid) for m in matches)
-    return candidates, match_counts, pairs
+        build_payloads.extend(m.payload for m in matches)
+    return candidates, match_counts, pairs, build_payloads
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -110,7 +117,7 @@ def test_probe_insert_batch_matches_scalar_path(seed, n_buckets):
             table.insert(Tuple(key=k, tid=1000 + k, source=SOURCE_A))
             table.insert(Tuple(key=k, tid=2000 + k, source=SOURCE_B))
 
-    candidates, match_counts, pairs = _scalar_oracle(scalar_table, batch)
+    candidates, match_counts, pairs, _ = _scalar_oracle(scalar_table, batch)
     plan = batch_table.probe_insert_batch(
         batch.keys,
         batch.tids,
@@ -126,6 +133,78 @@ def test_probe_insert_batch_matches_scalar_path(seed, n_buckets):
     assert scalar_table.total_tuples() == batch_table.total_tuples()
     for source in (SOURCE_A, SOURCE_B):
         for b in range(n_buckets):
+            assert (
+                scalar_table.bucket_contents(source, b)
+                == batch_table.bucket_contents(source, b)
+            )
+
+
+def _all_buckets(table):
+    return [b for g in range(table.n_groups) for b in table.buckets_in_group(g)]
+
+
+@pytest.mark.parametrize("need_pairs", [True, False])
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("payloads", ["none", "stored", "batch"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_probe_insert_batch_matches_scalar_path_stored_heavy(
+    seed, payloads, split, need_pairs
+):
+    """A stored population far larger than the batch, in many buckets.
+
+    Covers the segment's one key-sorted match join against the
+    scalar path: payloads on the stored side only or on both sides, a
+    sub-split group (matches live in extension buckets), and the
+    counts-only mode every ``keep_results=False`` run uses.
+    """
+    rng = np.random.default_rng(seed)
+    key_range = 150
+    scalar_table = DualHashTable(n_buckets=16, n_groups=4)
+    batch_table = DualHashTable(n_buckets=16, n_groups=4)
+    for i in range(2000):
+        stored = Tuple(
+            key=int(rng.integers(0, key_range)),
+            tid=10_000 + i,
+            source=SOURCE_A if rng.random() < 0.5 else SOURCE_B,
+            payload=f"s{i}" if payloads != "none" and i % 3 else None,
+        )
+        for table in (scalar_table, batch_table):
+            table.insert(stored)
+            if split and i == 1500:
+                # Split mid-fill: stored tuples both scattered by the
+                # split and inserted into extension buckets afterwards.
+                table.subsplit_group(1, 3)
+
+    n = 200
+    keys = rng.integers(0, key_range, size=n).astype(np.int64)
+    is_a = rng.random(n) < 0.5
+    tids = np.arange(n, dtype=np.int64)
+    batch = ColumnBatch(keys=keys, tids=tids, is_a=is_a, times=np.zeros(n))
+    batch_pays = [f"b{i}" if i % 2 else None for i in range(n)]
+    if payloads != "batch":
+        batch_pays = None
+
+    candidates, match_counts, pairs, build_pays = _scalar_oracle(
+        scalar_table, batch, batch_pays
+    )
+    plan = batch_table.probe_insert_batch(
+        keys, tids, is_a, batch_pays, batch_table.hash_batch(keys),
+        need_pairs=need_pairs,
+    )
+    assert plan.candidates.tolist() == candidates
+    assert plan.match_counts.tolist() == match_counts
+    assert plan.total_matches == sum(match_counts) > n
+    if need_pairs:
+        assert list(zip(plan.probe_rows.tolist(), plan.build_tids.tolist())) == pairs
+        if payloads == "none":
+            assert plan.build_payloads is None
+        else:
+            assert plan.build_payloads == build_pays
+    else:
+        assert plan.probe_rows is None and plan.build_tids is None
+    assert _all_buckets(scalar_table) == _all_buckets(batch_table)
+    for source in (SOURCE_A, SOURCE_B):
+        for b in _all_buckets(scalar_table):
             assert (
                 scalar_table.bucket_contents(source, b)
                 == batch_table.bucket_contents(source, b)
@@ -277,7 +356,15 @@ class _FakeStream:
         self.i += 1
 
 
-def _drain_runs(streams_times, timer_times, threshold, columnar):
+def _drain_runs(
+    streams_times, timer_times, threshold, columnar, outside=None, outside_slot=0
+):
+    """Drain grouped streams; return every delivered run.
+
+    ``outside`` optionally registers one more stream outside the batch
+    group, after ``outside_slot`` group members: its arrivals bound
+    runs, and win ties against the members registered after it.
+    """
     clock = VirtualClock()
     scheduler = EventScheduler(clock=clock, blocking_threshold=threshold)
     streams = [_FakeStream(t) for t in streams_times]
@@ -296,7 +383,10 @@ def _drain_runs(streams_times, timer_times, threshold, columnar):
     group = scheduler.add_batch_group(
         deliver, deliver_columns if columnar else None
     )
-    for stream in streams:
+    for slot, stream in enumerate(streams):
+        if outside is not None and slot == outside_slot:
+            lone = _FakeStream(outside)
+            scheduler.add_stream(lone.peek, lone.deliver_one)
         index = scheduler.add_stream(
             stream.peek,
             stream.deliver_one,
@@ -330,6 +420,91 @@ def test_array_extraction_matches_scalar_merge(seed):
     arrays = _drain_runs(streams, timers, threshold, columnar=True)
     assert scalar == arrays
     assert sum(len(order) for order, _ in scalar) == 80
+
+
+def _bursts(rng, n_bursts, burst_len, spacing, gap):
+    """Sorted times: ``n_bursts`` bursts of ``spacing``-apart arrivals."""
+    times = []
+    start = 0.0
+    for _ in range(n_bursts):
+        length = int(rng.integers(1, burst_len + 1))
+        times.extend(start + spacing * np.arange(length))
+        start = times[-1] + gap * rng.integers(1, 3)
+    return np.asarray(times)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["long-run", "bursty", "window-ties", "bounded", "bounded-mixed", "one-member"],
+)
+@pytest.mark.parametrize("seed", range(2))
+def test_array_extraction_matches_scalar_merge_long_schedules(shape, seed):
+    """Thousands of arrivals: runs outgrow the first extraction window.
+
+    The windowed merge must cut exactly where the scalar merge does —
+    across window growth, many short runs (each resizing the next first
+    window), equal times straddling a window's last element, and timer
+    and outside-arrival bounds inside long runs.
+    """
+    rng = np.random.default_rng(seed)
+    timers: list[float] = []
+    outside = None
+    outside_slot = 0
+    threshold = 0.5
+    if shape == "long-run":
+        # One run per stream pair far beyond the first window.
+        streams = [np.sort(rng.random(6000)) * 10, np.sort(rng.random(5000)) * 10]
+    elif shape == "bursty":
+        # Hundreds of short runs, then one long one.
+        streams = [
+            np.append(_bursts(rng, 300, 12, 0.01, 1.0), 2000 + np.arange(3000) * 0.01),
+            np.append(_bursts(rng, 300, 12, 0.01, 1.0), 2000 + np.arange(2500) * 0.01),
+        ]
+    elif shape == "window-ties":
+        # Coarse grid: long blocks of equal times on both streams, so
+        # window edges land inside ties (within and across streams).
+        streams = [
+            np.repeat(np.arange(400) * 0.1, 9),
+            np.repeat(np.arange(300) * 0.1, 13),
+        ]
+    elif shape.startswith("bounded"):
+        # Timers and outside arrivals cut long runs, with exact ties;
+        # "mixed" registers the outside stream between the members, so
+        # one member wins its ties with the bound and the other loses.
+        streams = [np.arange(4000) * 0.01, np.arange(3500) * 0.01]
+        timers = [5.0, 12.34, 30.0]
+        outside = np.array([7.77, 20.0, 20.0, 33.33])
+        outside_slot = 1 if shape == "bounded-mixed" else 0
+    else:
+        # One member; it alone carries runs longer than the window.
+        streams = [np.append(np.arange(3000) * 0.01, 100 + np.arange(2200) * 0.01)]
+    scalar, arrays = (
+        _drain_runs(streams, timers, threshold, columnar, outside, outside_slot)
+        for columnar in (False, True)
+    )
+    assert scalar == arrays
+    assert sum(len(order) for order, _ in scalar) == sum(len(t) for t in streams)
+    assert max(len(order) for order, _ in scalar) > 1024
+
+
+def test_array_extraction_window_edge_on_tied_bound():
+    """A window ending inside a tie at the bound must grow, not cut.
+
+    Member 0 wins ties against the outside arrival at 5.0 and member 1
+    loses them.  The first window ends inside member 0's block of 5.0s,
+    where member 1's first 5.0 would cut the run — but member 0's
+    unmerged 5.0s still belong to it.
+    """
+    streams = [
+        np.append(4.0 + 0.0009 * np.arange(1000), np.full(100, 5.0)),
+        np.append(4.0 + 0.0009 * np.arange(1000) + 0.0004, np.full(10, 5.0)),
+    ]
+    scalar, arrays = (
+        _drain_runs(streams, [], 0.5, columnar, np.array([5.0]), outside_slot=1)
+        for columnar in (False, True)
+    )
+    assert scalar == arrays
+    assert len(scalar[0][0]) == 2100
 
 
 def test_array_extraction_falls_back_without_times_array():

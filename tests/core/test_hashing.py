@@ -61,6 +61,28 @@ def test_bounds_checks():
         table.buckets_in_group(2)
 
 
+@pytest.mark.parametrize("bucket", [-3, 4, 9, "extension"])
+def test_bucket_accessors_validate_index(bucket):
+    table = DualHashTable(4, 2)
+    key = next(k for k in range(100) if table.bucket_of(k) == 1)
+    table.insert(Tuple(key=key, tid=0, source=SOURCE_A))
+    if bucket == "extension":
+        # Splitting group 0 (buckets 0-1) appends extension buckets 4-7,
+        # and the tuple moves to one of them: in range, and populated.
+        table.subsplit_group(0, 2)
+        ext = table.bucket_of(key)
+        assert 4 <= ext < 8
+        assert table.bucket_size(SOURCE_A, ext) == 1
+        assert [t.key for t in table.bucket_contents(SOURCE_A, ext)] == [key]
+        assert table.bucket_size(SOURCE_A, 1) == 0
+        return
+    # -3 used to alias bucket 1 and 9 raised a bare IndexError.
+    with pytest.raises(ConfigurationError):
+        table.bucket_size(SOURCE_A, bucket)
+    with pytest.raises(ConfigurationError):
+        table.bucket_contents(SOURCE_A, bucket)
+
+
 def test_insert_updates_summary_at_group_granularity():
     table = DualHashTable(8, 2)
     tup = t(key=3)

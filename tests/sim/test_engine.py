@@ -100,6 +100,25 @@ def test_no_blocked_call_without_background_work():
     assert op.blocked_calls == []
 
 
+def test_nan_blocking_threshold_rejected():
+    src_a, src_b = sources_from_traces([0.1, 5.0], [0.1, 5.0])
+    with pytest.raises(ConfigurationError):
+        run_join(
+            src_a, src_b, RecordingOperator(), blocking_threshold=float("nan")
+        )
+
+
+def test_infinite_blocking_threshold_never_blocks():
+    src_a, src_b = sources_from_traces([0.1, 5.0], [0.1, 5.0])
+    op = RecordingOperator(background_work=True)
+    result = run_join(
+        src_a, src_b, op, costs=CHEAP, blocking_threshold=float("inf")
+    )
+    assert result.completed
+    assert op.blocked_calls == []
+    assert len(op.tuples) == 4
+
+
 def test_blocked_called_when_gap_exceeds_threshold():
     src_a, src_b = sources_from_traces([0.1, 5.0], [0.1, 5.0])
     op = RecordingOperator(background_work=True)

@@ -50,6 +50,22 @@ def test_threshold_must_be_positive():
         EventScheduler(clock=clock, blocking_threshold=0.0)
 
 
+def test_nan_threshold_rejected():
+    with pytest.raises(ConfigurationError):
+        EventScheduler(clock=VirtualClock(), blocking_threshold=float("nan"))
+
+
+def test_infinite_threshold_never_blocks():
+    sched, _ = make_scheduler(threshold=float("inf"))
+    log: list = []
+    windows: list = []
+    sched.add_worker(lambda: True, windows.append)
+    sched.add_stream(*make_stream([0.0, 1e6, 2e6], log, "a"))
+    assert sched.run()
+    assert [at for _, at in log] == [0.0, 1e6, 2e6]
+    assert windows == []
+
+
 def test_arrivals_merge_in_time_order():
     sched, _ = make_scheduler()
     log: list = []
