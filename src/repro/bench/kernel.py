@@ -78,8 +78,8 @@ RATE = 5000.0
 CHECK_SCALE = BenchScale(n_per_source=400, seed=7)
 
 #: The benchmarked delivery paths: label -> the engine's
-#: ``batch_delivery`` switch, slowest first.  Batched runs reach HMJ as
-#: column arrays (the engine picks columnar delivery itself).
+#: ``batch_delivery`` switch, slowest first.  Batched runs reach every
+#: operator as column arrays (the engine's one batch path).
 PATHS: dict[str, bool] = {"per_tuple": False, "columnar": True}
 
 #: The merge-heavy point's two passes: label -> scheduler class.

@@ -36,7 +36,6 @@ class HashMergeJoin(StreamingJoinOperator):
 
     name = "HMJ"
     supports_memory_resize = True
-    supports_column_batches = True
     PHASE_HASHING = "hashing"
     PHASE_MERGING = "merging"
 

@@ -67,11 +67,6 @@ class StreamingJoinOperator(abc.ABC):
     #: that advertise it.
     supports_memory_resize = False
 
-    #: Whether the operator has a native :meth:`on_column_batch`.  The
-    #: engine only builds a :class:`~repro.core.columnar.ColumnBatch`
-    #: (instead of boxing tuples) for operators that advertise it.
-    supports_column_batches = False
-
     def __init__(self) -> None:
         self._runtime: JoinRuntime | None = None
         self._finished = False
@@ -153,10 +148,8 @@ class StreamingJoinOperator(abc.ABC):
         Replays the per-tuple protocol verbatim: the clock advances to
         each tuple's arrival time, then :meth:`on_tuple` processes it,
         so charges and emission order are exactly the per-event ones.
-        The engine calls this for operators without
-        :meth:`on_column_batch` support, and only when no early stop is
-        armed (``stop_after`` runs fall back to per-tuple delivery,
-        which checks the predicate between arrivals).
+        The base :meth:`on_column_batch` boxes every run batch into this
+        replay for operators without an array-native path.
         """
         advance_to = self.clock.advance_to
         on_tuple = self.on_tuple
@@ -167,12 +160,14 @@ class StreamingJoinOperator(abc.ABC):
     def on_column_batch(self, batch: "ColumnBatch") -> None:
         """Process a run of arrivals delivered as columns.
 
-        The columnar counterpart of :meth:`on_tuple_batch`: same
-        arrivals, same instants, no ``Tuple`` boxing on the way in.
-        The same equivalence contract applies — identical per-tuple
-        clock charges and emission order.  This default boxes the batch
-        and replays it, so operators without an array-native path (and
-        subclasses that customise :meth:`on_tuple`) stay correct.
+        The engine hands every run batch to this hook (only while no
+        early stop is armed; the kernel then replays runs through
+        :meth:`on_tuple` itself).  Implementations must match per-tuple
+        delivery exactly — identical per-tuple clock charges and
+        emission order.  This default boxes the batch and replays it
+        through :meth:`on_tuple_batch`, so operators without an
+        array-native path (and subclasses that customise
+        :meth:`on_tuple`) stay correct.
         """
         tuples, times = batch.to_tuples()
         self.on_tuple_batch(tuples, times)

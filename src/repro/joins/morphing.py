@@ -46,9 +46,6 @@ class MorphingJoin(StreamingJoinOperator):
             the switch happens; it must implement ``import_hash_state``.
     """
 
-    #: The wrapper always accepts columnar batches; actives without a
-    #: native path go through the base class's boxing default.
-    supports_column_batches = True
     supports_memory_resize = True
 
     def __init__(

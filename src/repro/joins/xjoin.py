@@ -56,7 +56,6 @@ class XJoin(StreamingJoinOperator):
 
     name = "XJoin"
     supports_memory_resize = True
-    supports_column_batches = True
     PHASE_STAGE1 = "stage1"
     PHASE_STAGE2 = "stage2"
     PHASE_STAGE3 = "stage3"

@@ -176,16 +176,18 @@ class NetworkSource:
     def pending_times(self) -> tuple[list[float], int]:
         """The full arrival-time list and the next-delivery cursor.
 
-        The kernel's run-batch extraction reads (never consumes) this
-        to find maximal deliverable runs without per-tuple peek calls.
+        The plain-float view of :meth:`pending_times_array`, for
+        consumers that walk the schedule in Python (traces, checks).
         """
         return self._times, self._index
 
     def pending_times_array(self) -> tuple[np.ndarray, int]:
         """Array twin of :meth:`pending_times` (same instants, float64).
 
-        Backs the kernel's columnar run extraction; ``tolist`` round-
-        trips bit-exactly, so the two views can never disagree.
+        The kernel's run-batch extraction reads (never consumes) this
+        to find maximal deliverable runs without per-tuple peek calls;
+        ``tolist`` round-trips bit-exactly, so the two views can never
+        disagree.
         """
         return self._times_array, self._index
 

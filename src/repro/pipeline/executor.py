@@ -32,10 +32,9 @@ from repro.net.source import DisorderedSource, ReorderBuffer
 from repro.pipeline.plan import (
     FilterNode,
     JoinNode,
-    MapNode,
     PlanNode,
     SourceLeaf,
-    collect_leaves,
+    Transform,
     unwrap_transforms,
     validate_plan,
 )
@@ -58,7 +57,7 @@ class _NodeState:
     recorder: MetricsRecorder
     disk: SimulatedDisk
     # (parent join, side played, transform chain top-down) or None.
-    parent: tuple[JoinNode, str, list[PlanNode]] | None = None
+    parent: tuple[JoinNode, str, list[Transform]] | None = None
     consumed: int = 0
     out_serial: int = 0
 
@@ -152,17 +151,16 @@ class PlanExecutor:
                 node=node, operator=operator, recorder=recorder, disk=disk
             )
         # Resolve each join child through any transform chain down to
-        # the leaf or join actually producing its tuples.
-        self._leaves: list[tuple[SourceLeaf, JoinNode, str, list[PlanNode]]] = []
+        # the leaf or join actually producing its tuples (validate_plan
+        # admits nothing else, and every node at most once).
+        self._leaves: list[tuple[SourceLeaf, JoinNode, str, list[Transform]]] = []
         for node in self._joins:
             for child, side in ((node.left, SOURCE_A), (node.right, SOURCE_B)):
                 target, chain = unwrap_transforms(child)
-                if isinstance(target, JoinNode):
-                    self._states[id(target)].parent = (node, side, chain)
-                else:
-                    assert isinstance(target, SourceLeaf)
+                if isinstance(target, SourceLeaf):
                     self._leaves.append((target, node, side, chain))
-        assert len(self._leaves) == len(collect_leaves(root))
+                else:
+                    self._states[id(target)].parent = (node, side, chain)
 
         self._root_state = self._states[id(root)]
 
@@ -177,14 +175,13 @@ class PlanExecutor:
             ),
             journal=self.journal,
         )
-        # All leaves share one batch group: a merged run of leaf
-        # arrivals is replayed per tuple (results must cascade upward
-        # immediately), but the kernel's heap round-trips are amortised.
-        # Disordered leaves are not kernel streams at all — their
-        # tuples arrive through a reorder buffer's punctuation timers
-        # in event order at e_i + B.
-        group = self.scheduler.add_batch_group(self._deliver_batch)
-        self._leaf_deliverers: list = []
+        # All leaves share one batch group without a callback: the
+        # kernel replays each merged run of leaf arrivals per tuple
+        # (results must cascade upward immediately), but its heap
+        # round-trips are amortised.  Disordered leaves are not kernel
+        # streams at all — their tuples arrive through a reorder
+        # buffer's punctuation timers in event order at e_i + B.
+        group = self.scheduler.add_batch_group()
         self._buffers: list[ReorderBuffer] = []
         for leaf, node, side, chain in self._leaves:
             if isinstance(leaf.source, DisorderedSource):
@@ -196,15 +193,12 @@ class PlanExecutor:
                 buffer.install(self.scheduler)
                 self._buffers.append(buffer)
                 continue
-            deliver = self._deliver_from(leaf, node, side, chain)
-            index = self.scheduler.add_stream(
+            self.scheduler.add_stream(
                 leaf.source.peek_time,
-                deliver,
-                times=leaf.source.pending_times,
+                self._deliver_from(leaf, node, side, chain),
+                times=leaf.source.pending_times_array,
                 group=group,
             )
-            assert index == len(self._leaf_deliverers)
-            self._leaf_deliverers.append(deliver)
         self.scheduler.batching = bool(batch_delivery)
         for node in self._joins:
             state = self._states[id(node)]
@@ -336,27 +330,6 @@ class PlanExecutor:
         """The installed reorder buffers (empty for in-order plans)."""
         return self._buffers
 
-    def _deliver_batch(self, order: list[int], times: list[float]) -> None:
-        """Replay one merged arrival run through the per-leaf deliverers.
-
-        Full pipelining means every tuple's results cascade upward
-        before the next tuple, so the batch unrolls per tuple here;
-        the win is the amortised kernel dispatch.  The stop predicate
-        is checked between consecutive arrivals, exactly where the
-        per-event loop checks it.
-        """
-        deliverers = self._leaf_deliverers
-        advance_to = self.clock.advance_to
-        stop = self._stop_reached
-        first = True
-        for index, at in zip(order, times):
-            if first:
-                first = False
-            elif stop():
-                return
-            advance_to(at)
-            deliverers[index]()
-
     def _worker_for(self, state: _NodeState):
         def run_blocked(budget) -> None:
             state.operator.on_blocked(budget)
@@ -400,7 +373,7 @@ class PlanExecutor:
             current = parent_node
 
     def _apply_chain(
-        self, chain: list[PlanNode], t: Tuple, side: str
+        self, chain: list[Transform], t: Tuple, side: str
     ) -> Tuple | None:
         """Run a tuple up a transform chain; None means filtered out.
 
@@ -415,7 +388,6 @@ class PlanExecutor:
                 if not node.predicate(t):
                     return None
             else:
-                assert isinstance(node, MapNode)
                 mapped = node.fn(t)
                 if not isinstance(mapped, Tuple):
                     raise ConfigurationError(

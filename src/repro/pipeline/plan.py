@@ -33,6 +33,8 @@ from repro.net.source import DisorderedSource, NetworkSource, SourceCursor
 from repro.storage.tuples import JoinResult, Tuple
 
 PlanNode = Union["SourceLeaf", "JoinNode", "FilterNode", "MapNode"]
+#: A node between a child and its parent join (see unwrap_transforms).
+Transform = Union["FilterNode", "MapNode"]
 LeafSource = Union[NetworkSource, SourceCursor, DisorderedSource]
 KeyFn = Callable[[JoinResult], int]
 OperatorFactory = Callable[[], StreamingJoinOperator]
@@ -152,14 +154,14 @@ def transform(child: PlanNode, fn: MapFn, label: str = "map") -> MapNode:
     return MapNode(child=child, fn=fn, label=label)
 
 
-def unwrap_transforms(node: PlanNode) -> tuple[PlanNode, list[PlanNode]]:
+def unwrap_transforms(node: PlanNode) -> tuple[PlanNode, list[Transform]]:
     """Follow a transform chain down to its leaf or join.
 
     Returns ``(target, chain)`` with the chain ordered top-down (the
     first element is closest to the parent join); data flowing upward
     is passed through the chain in reverse.
     """
-    chain: list[PlanNode] = []
+    chain: list[Transform] = []
     while isinstance(node, (FilterNode, MapNode)):
         chain.append(node)
         node = node.child

@@ -36,6 +36,7 @@ from repro.sim.costs import CostModel
 from repro.sim.journal import SimulationJournal
 from repro.sim.scheduler import EventScheduler
 from repro.storage.disk import SimulatedDisk
+from repro.storage.tuples import SOURCE_A
 
 
 @dataclass(slots=True)
@@ -96,10 +97,13 @@ class JoinSimulation:
         self._costs = costs or CostModel()
         self._stop_after = stop_after
         self._keep_results = keep_results
-        # Run batches travel as column arrays whenever the operator has
-        # a native columnar path and no early stop needs the per-tuple
-        # unroll (see _deliver_batch).
-        self._columnar = operator.supports_column_batches and stop_after is None
+        if source_a.source_label == source_b.source_label:
+            # Operators side each tuple by its label: two same-labelled
+            # inputs would silently join nothing.
+            raise ConfigurationError(
+                "source_a and source_b carry the same relation label "
+                f"{source_a.source_label!r}; one join needs one A and one B input"
+            )
 
         self.clock = VirtualClock()
         if spill_dir is None:
@@ -136,10 +140,7 @@ class JoinSimulation:
         )
         self._source_a = source_a
         self._source_b = source_b
-        group = self.scheduler.add_batch_group(
-            self._deliver_batch,
-            self._deliver_batch_columns if self._columnar else None,
-        )
+        group = self.scheduler.add_batch_group(self._deliver_batch)
         # A disordered source is not a kernel stream: its tuples reach
         # the operator through a reorder buffer's punctuation timers
         # (event order, instants e_i + B).  Its stream index is the
@@ -185,8 +186,7 @@ class JoinSimulation:
         return self.scheduler.add_stream(
             src.peek_time,
             self._deliver_from(src),
-            times=src.pending_times,
-            times_array=src.pending_times_array,
+            times=src.pending_times_array,
             group=group,
         )
 
@@ -202,83 +202,22 @@ class JoinSimulation:
 
         return deliver
 
-    def _deliver_batch(self, order: list[int], times: list[float]) -> None:
-        """Deliver one merged arrival run (see the kernel's batch docs).
+    def _deliver_batch(self, indices: np.ndarray, times: np.ndarray) -> None:
+        """Pop one merged run from both sources; hand it over as columns.
 
-        Observably identical to per-event delivery: every tuple still
-        advances the clock to its own arrival instant before being
-        processed, and with an early stop armed the predicate is
-        checked between consecutive arrivals — exactly where the
-        per-event loop checks it — so ``stop_after`` keeps
-        single-result granularity.
-        """
-        src_a = self._source_a
-        src_b = self._source_b
-        stream_a = self._stream_a
-        if self._stop_after is not None:
-            operator = self._operator
-            advance_to = self.clock.advance_to
-            stop = self._stop_reached
-            first = True
-            for index, at in zip(order, times):
-                if first:
-                    first = False
-                elif stop():
-                    return
-                advance_to(at)
-                _, t = (src_a if index == stream_a else src_b).pop()
-                operator.on_tuple(t)
-            return
-        # No stop predicate can fire mid-run: pop both sources in two
-        # slices and hand the operator the whole run in one call.
-        n = len(order)
-        if self._columnar:
-            # Columnar delivery: slice the sources' column images and
-            # hand the operator arrays instead of boxed tuples.  The
-            # arrival order, instants, and content are identical.
-            is_a = np.asarray(order, dtype=np.int64) == stream_a
-            self._operator.on_column_batch(
-                self._pop_column_batch(is_a, np.asarray(times, dtype=np.float64))
-            )
-            return
-        count_a = order.count(stream_a)
-        if count_a == n:
-            _, tuples = src_a.pop_batch(n)
-        elif count_a == 0:
-            _, tuples = src_b.pop_batch(n)
-        else:
-            _, batch_a = src_a.pop_batch(count_a)
-            _, batch_b = src_b.pop_batch(n - count_a)
-            next_a = iter(batch_a).__next__
-            next_b = iter(batch_b).__next__
-            tuples = [
-                next_a() if index == stream_a else next_b() for index in order
-            ]
-        self._operator.on_tuple_batch(tuples, times)
-
-    def _deliver_batch_columns(self, indices: np.ndarray, times: np.ndarray) -> None:
-        """Columnar twin of :meth:`_deliver_batch` (arrays in, no boxing).
-
-        Registered with the kernel only when columnar delivery is
-        active, i.e. the operator supports column batches and no early
-        stop is armed.
-        """
-        self._operator.on_column_batch(
-            self._pop_column_batch(indices == self._stream_a, times)
-        )
-
-    def _pop_column_batch(self, is_a: np.ndarray, times: np.ndarray) -> ColumnBatch:
-        """Pop one merged run from both sources as a :class:`ColumnBatch`.
-
-        ``is_a`` marks which run positions come from source A;
-        ``times`` holds the run's arrival instants.  Single-source runs
-        are zero-copy slices; mixed runs scatter the two sources'
+        The kernel calls this only while no early stop is armed; it
+        replays runs through :meth:`_deliver_from` otherwise.
+        ``indices`` holds each run position's stream index.  A row's
+        side comes from its source's relation label — exactly what
+        per-event delivery's ``Tuple.source`` carries.  Single-source
+        runs are zero-copy slices; mixed runs scatter the two sources'
         column slices into run order.
         """
         src_a = self._source_a
         src_b = self._source_b
-        n = len(is_a)
-        count_a = int(np.count_nonzero(is_a))
+        from_a = indices == self._stream_a
+        n = len(from_a)
+        count_a = int(np.count_nonzero(from_a))
         if count_a == n:
             _, keys, tids, payloads = src_a.pop_batch_columns(n)
         elif count_a == 0:
@@ -286,23 +225,22 @@ class JoinSimulation:
         else:
             _, keys_a, tids_a, pays_a = src_a.pop_batch_columns(count_a)
             _, keys_b, tids_b, pays_b = src_b.pop_batch_columns(n - count_a)
+            from_b = ~from_a
             keys = np.empty(n, dtype=np.int64)
-            keys[is_a] = keys_a
-            keys[~is_a] = keys_b
+            keys[from_a], keys[from_b] = keys_a, keys_b
             tids = np.empty(n, dtype=np.int64)
-            tids[is_a] = tids_a
-            tids[~is_a] = tids_b
+            tids[from_a], tids[from_b] = tids_a, tids_b
             payloads = None
             if pays_a is not None or pays_b is not None:
-                payloads = [None] * n
-                for rows, side in (
-                    (np.flatnonzero(is_a), pays_a),
-                    (np.flatnonzero(~is_a), pays_b),
-                ):
-                    if side is not None:
-                        for j, r in enumerate(rows.tolist()):
-                            payloads[r] = side[j]
-        return ColumnBatch(keys=keys, tids=tids, is_a=is_a, times=times, payloads=payloads)
+                next_a = iter(pays_a or [None] * count_a).__next__
+                next_b = iter(pays_b or [None] * (n - count_a)).__next__
+                payloads = [next_a() if f else next_b() for f in from_a.tolist()]
+        is_a = np.where(
+            from_a, src_a.source_label == SOURCE_A, src_b.source_label == SOURCE_A
+        )
+        self._operator.on_column_batch(
+            ColumnBatch(keys=keys, tids=tids, is_a=is_a, times=times, payloads=payloads)
+        )
 
     def _stop_reached(self) -> bool:
         return self._stop_after is not None and self.recorder.count >= self._stop_after

@@ -28,12 +28,12 @@ pre-kernel loops used to duplicate:
   protocol call, so there is nothing left to adapt.
 
 On top of the per-event loop sits **run-batch delivery**: streams that
-join a *batch group* (and expose their pending arrival times) have
-maximal runs of consecutive arrivals extracted in exact heap order and
-handed to the group's ``deliver_batch`` callback in one call, instead
-of one heap pop/push round-trip per tuple.  A run is broken exactly
-where the per-event loop would have done something other than deliver
-the next group arrival:
+join a *batch group* (and expose their pending arrival times as a
+float64 array) have maximal runs of consecutive arrivals extracted in
+exact heap order and handed to the group's callback in one call,
+instead of one heap pop/push round-trip per tuple.  A run is broken
+exactly where the per-event loop would have done something other than
+deliver the next group arrival:
 
 * at an inter-arrival gap exceeding ``blocking_threshold`` (the next
   event *might* open a blocked window — only the live clock, after the
@@ -42,9 +42,13 @@ the next group arrival:
   before arrivals at the same instant);
 * at any arrival of a stream outside the group (stream interleaving
   *within* the group is preserved inside the batch, in ``(time,
-  registration-index)`` heap order);
-* and batch deliverers must honour the ``stop_when`` predicate between
-  consecutive arrivals, so early stops keep single-result granularity.
+  registration-index)`` heap order).
+
+When the ``stop_when`` predicate is armed, or the group registered no
+callback, the kernel replays the run itself — one member ``deliver()``
+per arrival, the clock advanced to each instant, and the predicate
+checked between consecutive arrivals — so early stops keep
+single-result granularity.
 
 Batch boundaries carry no simulation state — breaking a run early is
 always safe, merely slower — so the batched and per-event paths are
@@ -59,11 +63,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.sim.budget import WorkBudget
 from repro.sim.clock import VirtualClock
 from repro.sim.journal import SimulationJournal
@@ -75,24 +79,20 @@ _KIND_TIMER = 0
 _KIND_ARRIVAL = 1
 
 #: Floor of the first run-extraction window, and its growth factor when
-#: a window holds no exact cut (see ``_extract_run_arrays``).
+#: a window holds no exact cut (see ``_extract_run``).
 _MIN_WINDOW = 1024
 _WINDOW_GROWTH = 8
 
 PeekFn = Callable[[], "float | None"]
 DeliverFn = Callable[[], None]
-#: Full pending arrival times of a stream plus the cursor of the next
-#: delivery; the kernel reads (never consumes) this to extract runs.
-TimesFn = Callable[[], "tuple[Sequence[float], int]"]
-#: Array twin of TimesFn: the same schedule as a float64 array (the
-#: columnar extraction path slices and merges it without boxing).
-TimesArrayFn = Callable[[], "tuple[np.ndarray, int]"]
-#: Batch delivery: parallel lists of stream indices and arrival times,
-#: one entry per arrival, in exact heap dispatch order.
-BatchDeliverFn = Callable[[list[int], list[float]], None]
-#: Columnar batch delivery: the same run as two parallel arrays
-#: (int64 stream indices, float64 arrival times).
-BatchDeliverColumnsFn = Callable[[np.ndarray, np.ndarray], None]
+#: Full pending arrival times of a stream (float64) plus the cursor of
+#: the next delivery; the kernel reads (never consumes) this to
+#: extract runs.
+TimesFn = Callable[[], "tuple[np.ndarray, int]"]
+#: Batch delivery: one run as parallel arrays — int64 stream indices
+#: and float64 arrival times, one entry per arrival, in exact heap
+#: dispatch order.
+BatchDeliverFn = Callable[[np.ndarray, np.ndarray], None]
 HasWorkFn = Callable[[], bool]
 WorkFn = Callable[[WorkBudget], None]
 StopFn = Callable[[], bool]
@@ -106,8 +106,6 @@ class _Stream:
     index: int
     peek: PeekFn
     deliver: DeliverFn
-    times: TimesFn | None = None
-    times_array: TimesArrayFn | None = None
     group: "_BatchGroup | None" = None
     live: bool = False
 
@@ -116,9 +114,10 @@ class _Stream:
 class _BatchGroup:
     """Streams whose arrival runs may be delivered as merged batches."""
 
-    deliver: BatchDeliverFn
-    deliver_columns: BatchDeliverColumnsFn | None = None
+    deliver: BatchDeliverFn | None = None
     members: list[_Stream] = field(default_factory=list)
+    #: Each member's ``times`` hook, parallel to ``members``.
+    schedules: list[TimesFn] = field(default_factory=list)
     member_ids: set[int] = field(default_factory=set)
 
 
@@ -195,33 +194,23 @@ class EventScheduler:
 
     # -- registration -------------------------------------------------------
 
-    def add_batch_group(
-        self,
-        deliver: BatchDeliverFn,
-        deliver_columns: BatchDeliverColumnsFn | None = None,
-    ) -> int:
+    def add_batch_group(self, deliver: BatchDeliverFn | None = None) -> int:
         """Register a batch-delivery group; returns its id.
 
-        ``deliver(order, times)`` receives one maximal run of arrivals
-        from the group's member streams: parallel lists of the source
-        stream index and the arrival time of each tuple, in exact heap
-        dispatch order.  The deliverer must consume each arrival from
-        its stream in that order, advance the clock to each arrival
-        time before processing, and honour the scheduler's ``stop_when``
-        predicate between consecutive arrivals (it may deliver fewer
+        ``deliver(indices, times)`` receives one maximal run of arrivals
+        from the group's member streams: parallel int64/float64 arrays
+        of the source stream index and the arrival time of each tuple,
+        in exact heap dispatch order.  The callback must consume each
+        arrival from its stream in that order and advance the clock to
+        each arrival time before processing it (it may deliver fewer
         than offered; the kernel re-reads the streams afterwards).
 
-        ``deliver_columns(indices, times)`` is the optional columnar
-        twin — the same run as parallel int64/float64 arrays, under the
-        same contract.  It is preferred whenever every member with
-        pending arrivals exposes a ``times_array`` hook, letting the
-        kernel extract the run with array merges instead of a
-        per-element scalar loop.  The two forms are interchangeable:
-        identical events, identical order, identical instants.
+        Without a callback — and for every group while ``stop_when`` is
+        armed — the kernel replays each run itself through the members'
+        per-event ``deliver()`` hooks, checking the predicate between
+        consecutive arrivals.
         """
-        self._groups.append(
-            _BatchGroup(deliver=deliver, deliver_columns=deliver_columns)
-        )
+        self._groups.append(_BatchGroup(deliver=deliver))
         return len(self._groups) - 1
 
     def add_stream(
@@ -230,7 +219,6 @@ class EventScheduler:
         deliver: DeliverFn,
         *,
         times: TimesFn | None = None,
-        times_array: TimesArrayFn | None = None,
         group: int | None = None,
     ) -> int:
         """Register an arrival stream.
@@ -242,26 +230,21 @@ class EventScheduler:
 
         A stream may additionally join a batch group (see
         :meth:`add_batch_group`) by passing the group id and a
-        ``times`` hook exposing its full pending arrival times; its
-        arrivals are then dispatched in merged runs whenever
-        :attr:`batching` is enabled.  ``times_array`` optionally
-        exposes the same schedule as a float64 array, enabling the
-        group's columnar extraction path.
+        ``times`` hook exposing its full pending arrival times as a
+        float64 array; its arrivals are then dispatched in merged runs
+        whenever :attr:`batching` is enabled.
         """
         if (group is None) != (times is None):
             raise ConfigurationError(
                 "batched streams need both `group` and `times` (got one)"
             )
-        if times_array is not None and times is None:
-            raise ConfigurationError("`times_array` requires `times` and `group`")
         stream = _Stream(index=len(self._streams), peek=peek, deliver=deliver)
-        if group is not None:
+        if group is not None and times is not None:
             if not 0 <= group < len(self._groups):
                 raise ConfigurationError(f"unknown batch group id {group!r}")
-            stream.times = times
-            stream.times_array = times_array
             stream.group = self._groups[group]
             stream.group.members.append(stream)
+            stream.group.schedules.append(times)
             stream.group.member_ids.add(stream.index)
         self._streams.append(stream)
         first = stream.peek()
@@ -446,8 +429,9 @@ class EventScheduler:
 
         The head entry (an arrival of one member) is already popped and
         the clock already sits at its arrival time; this extracts how
-        far the run extends, hands it to the group deliverer in one
-        call, then re-reads every member stream to restore the
+        far the run extends, hands it to the group callback in one call
+        (or replays it per arrival, see :meth:`_replay_run`), then
+        re-reads every member stream to restore the
         one-pending-entry-per-live-stream heap invariant.
         """
         members = group.members
@@ -471,15 +455,28 @@ class EventScheduler:
         else:
             bound_time = float("inf")
             bound_index = -1
-        if group.deliver_columns is not None:
-            extracted = self._extract_run_arrays(members, bound_time, bound_index)
-            if extracted is not None:
-                group.deliver_columns(*extracted)
-                self._repush_members(members)
-                return
-        order, times = self._extract_run(members, bound_time, bound_index)
-        group.deliver(order, times)
+        indices, times = self._extract_run(group, bound_time, bound_index)
+        if group.deliver is None or self.stop_when is not None:
+            self._replay_run(indices, times)
+        else:
+            group.deliver(indices, times)
         self._repush_members(members)
+
+    def _replay_run(self, indices: np.ndarray, times: np.ndarray) -> None:
+        """Deliver a run one arrival at a time through each stream's hook.
+
+        Exactly the per-event loop's sequence: the clock advances to
+        each arrival before its stream's ``deliver()``, and an armed
+        stop predicate is checked between consecutive arrivals.
+        """
+        streams = self._streams
+        advance_to = self.clock.advance_to
+        stop = self.stop_when
+        for i, (index, at) in enumerate(zip(indices.tolist(), times.tolist())):
+            if i and stop is not None and stop():
+                return
+            advance_to(at)
+            streams[index].deliver()
 
     def _repush_members(self, members: list[_Stream]) -> None:
         heap = self._heap
@@ -495,18 +492,18 @@ class EventScheduler:
                     self._live_streams += 1
                 heapq.heappush(heap, (nxt, _KIND_ARRIVAL, member.index, None))
 
-    def _extract_run_arrays(
-        self, members: list[_Stream], bound_time: float, bound_index: int
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Array twin of :meth:`_extract_run`, over growing windows.
+    def _extract_run(
+        self, group: _BatchGroup, bound_time: float, bound_index: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The maximal deliverable run, merged over growing windows.
 
-        Returns ``(indices, times)`` — int64 stream indices and
-        float64 arrival times for one maximal run — or ``None`` when a
-        member lacks the ``times_array`` hook or more than two members
-        hold pending arrivals (the scalar path then handles the
-        dispatch).  Every cut decision reproduces the scalar
-        expressions operation-for-operation, so both paths break runs
-        at identical elements.
+        Returns ``(indices, times)`` — int64 stream indices and float64
+        arrival times — in exact heap order, ``(time, registration
+        index)``, starting from the already-popped head.  The run ends
+        at the first inter-arrival gap wider than the blocking
+        threshold, or at the first event that would lose a heap race
+        against ``(bound_time, bound_index)`` (the post-purge heap top;
+        ``bound_index`` is -1 for timers, which win every tie).
 
         Only a window of each member's pending arrivals is merged, so
         the work tracks the run delivered, not the remaining schedule.
@@ -517,11 +514,8 @@ class EventScheduler:
         """
         bounded = bound_time != float("inf")
         cursors: list[tuple[np.ndarray, int]] = []
-        for member in members:
-            times_fn = member.times_array
-            if times_fn is None:
-                return None
-            arr, pos = times_fn()
+        for member, times in zip(group.members, group.schedules):
+            arr, pos = times()
             pending = arr[pos:]
             if bounded and pending.size:
                 # Arrivals beyond the bound can never join the run;
@@ -532,8 +526,6 @@ class EventScheduler:
                 pending = pending[: np.searchsorted(pending, bound_time, side="right")]
             if pending.size:
                 cursors.append((pending, member.index))
-        if not cursors or len(cursors) > 2:
-            return None
         window = self._run_window
         while True:
             extracted = self._cut_window(cursors, window, bound_time, bound_index)
@@ -556,173 +548,49 @@ class EventScheduler:
         window that stops short of its schedule, where arrivals not
         yet merged could still sort in.
         """
-        threshold = self.blocking_threshold
         # Unmerged arrivals are >= their window's last time, so every
         # merged element strictly below ``limit`` sits exactly where
         # the full merge would put it.
         limit = float("inf")
-        windows: list[tuple[np.ndarray, int]] = []
-        for pending, index in cursors:
+        windows: list[np.ndarray] = []
+        for pending, _ in cursors:
             if pending.size > window:
                 pending = pending[:window]
                 limit = min(limit, pending[-1])
-            windows.append((pending, index))
-        isa: np.ndarray | None
+            windows.append(pending)
+        merged_indices: np.ndarray | None = None
         if len(windows) == 1:
-            merged, index_a = windows[0]
-            index_b = index_a
-            isa = None
+            merged = windows[0]
         else:
-            # Stable two-way merge via searchsorted: cursor 0 holds
-            # the lower registration index, so side="left"/"right"
-            # land its elements before equal-time elements of cursor
-            # 1, matching exact heap order.
-            (ta, index_a), (tb, index_b) = windows
-            na, nb = ta.size, tb.size
-            merged = np.empty(na + nb, dtype=np.float64)
-            isa = np.empty(na + nb, dtype=bool)
-            pos_a = np.arange(na) + np.searchsorted(tb, ta, side="left")
-            pos_b = np.arange(nb) + np.searchsorted(ta, tb, side="right")
-            merged[pos_a] = ta
-            merged[pos_b] = tb
-            isa[pos_a] = True
-            isa[pos_b] = False
-        # The same float expression as the scalar walk — t > prev +
-        # threshold — so rounding behaves identically element-wise.
-        stop = merged[1:] > merged[:-1] + threshold
+            # Cursors sit in registration order, so a stable sort by
+            # time over their concatenation is exact heap order.
+            concatenated = np.concatenate(windows)
+            order = np.argsort(concatenated, kind="stable")
+            merged = concatenated[order]
+            merged_indices = np.repeat(
+                np.array([index for _, index in cursors], dtype=np.int64),
+                [w.size for w in windows],
+            )[order]
+        # The per-event loop's float expression — t > prev + threshold
+        # — so rounding behaves identically element-wise.
+        stop = merged[1:] > merged[:-1] + self.blocking_threshold
         if bound_time != float("inf"):
             tail = merged[1:]
-            tie_a = index_a < bound_index
-            tie_b = index_b < bound_index
-            if isa is None or tie_a == tie_b:
+            if merged_indices is None:
                 # t > bound or (t == bound and not tie_ok) collapses
                 # to >= when ties lose and > when ties win.
-                stop |= (tail > bound_time) if tie_a else (tail >= bound_time)
+                tie_ok = cursors[0][1] < bound_index
+                stop |= (tail > bound_time) if tie_ok else (tail >= bound_time)
             else:
-                tie_ok = np.where(isa[1:], tie_a, tie_b)
-                stop |= (tail > bound_time) | ((tail == bound_time) & ~tie_ok)
+                tie_ok_rows = merged_indices[1:] < bound_index
+                stop |= (tail > bound_time) | ((tail == bound_time) & ~tie_ok_rows)
         hits = np.flatnonzero(stop)
         cut = int(hits[0]) + 1 if hits.size else merged.size
         if limit != float("inf") and not (cut < merged.size and merged[cut] < limit):
             return None
-        times = merged[:cut]
-        if isa is None:
-            indices = np.full(cut, index_a, dtype=np.int64)
-        else:
-            indices = np.where(isa[:cut], index_a, index_b)
-        return indices, times
-
-    def _extract_run(
-        self, members: list[_Stream], bound_time: float, bound_index: int
-    ) -> tuple[list[int], list[float]]:
-        """Merge members' pending times into one maximal deliverable run.
-
-        Events are taken in exact heap order — ``(time, registration
-        index)`` — starting from the already-popped head.  The run ends
-        at the first inter-arrival gap wider than the blocking
-        threshold, or at the first event that would lose a heap race
-        against ``(bound_time, bound_index)`` (the post-purge heap top;
-        ``bound_index`` is -1 for timers, which win every tie).
-        """
-        threshold = self.blocking_threshold
-        cursors: list[list] = []
-        for member in members:
-            times_fn = member.times
-            if times_fn is None:
-                raise SimulationError(
-                    f"batched stream {member.index} has no `times` hook"
-                )
-            times, pos = times_fn()
-            if pos < len(times):
-                # [times, cursor, end, stream index]
-                cursors.append([times, pos, len(times), member.index])
-        if len(cursors) == 1:
-            # Common tail case: one member left — a straight slice scan.
-            times, pos, end, index = cursors[0]
-            tie_ok = index < bound_index
-            prev = times[pos]
-            j = pos + 1
-            while j < end:
-                t = times[j]
-                if (
-                    t > prev + threshold
-                    or t > bound_time
-                    or (t == bound_time and not tie_ok)
-                ):
-                    break
-                prev = t
-                j += 1
-            return [index] * (j - pos), list(times[pos:j])
-        if len(cursors) == 2:
-            # The dominant case (one two-source engine group): a direct
-            # two-list merge.  Cursor 0 has the lower registration
-            # index, so it wins every exact tie, matching heap order.
-            inf = float("inf")
-            times_a, i, end_a, index_a = cursors[0]
-            times_b, j, end_b, index_b = cursors[1]
-            tie_a = index_a < bound_index
-            tie_b = index_b < bound_index
-            order2: list[int] = []
-            out2: list[float] = []
-            push_order = order2.append
-            push_time = out2.append
-            t_a = times_a[i]
-            t_b = times_b[j]
-            first2 = True
-            prev2 = 0.0
-            while True:
-                if t_a <= t_b:
-                    t, index, tie_ok = t_a, index_a, tie_a
-                else:
-                    t, index, tie_ok = t_b, index_b, tie_b
-                if t is inf or (
-                    not first2
-                    and (
-                        t > prev2 + threshold
-                        or t > bound_time
-                        or (t == bound_time and not tie_ok)
-                    )
-                ):
-                    break
-                first2 = False
-                push_order(index)
-                push_time(t)
-                prev2 = t
-                if index == index_a:
-                    i += 1
-                    t_a = times_a[i] if i < end_a else inf
-                else:
-                    j += 1
-                    t_b = times_b[j] if j < end_b else inf
-            return order2, out2
-        order: list[int] = []
-        out: list[float] = []
-        first = True
-        prev = 0.0
-        while cursors:
-            # k-way min by (time, index); cursors stay in registration
-            # order, so the strict < keeps the lower index on ties.
-            best = cursors[0]
-            best_t = best[0][best[1]]
-            for cursor in cursors[1:]:
-                t = cursor[0][cursor[1]]
-                if t < best_t:
-                    best = cursor
-                    best_t = t
-            if not first and (
-                best_t > prev + threshold
-                or best_t > bound_time
-                or (best_t == bound_time and best[3] >= bound_index)
-            ):
-                break
-            first = False
-            order.append(best[3])
-            out.append(best_t)
-            prev = best_t
-            best[1] += 1
-            if best[1] == best[2]:
-                cursors.remove(best)
-        return order, out
+        if merged_indices is None:
+            return np.full(cut, cursors[0][1], dtype=np.int64), merged[:cut]
+        return merged_indices[:cut], merged[:cut]
 
     # -- blocked windows ----------------------------------------------------
 

@@ -26,6 +26,7 @@ from repro.sim.costs import CostModel
 from repro.sim.scheduler import EventScheduler
 from repro.storage.disk import SimulatedDisk
 from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
+from repro.testing.scalar_runs import ScalarRunScheduler
 from repro.workloads.generator import make_relation_pair, paper_workload
 
 
@@ -336,7 +337,7 @@ def test_append_batch_columns_interleaves_with_record():
 
 
 class _FakeStream:
-    """A pre-scheduled stream exposing both times views."""
+    """A pre-scheduled stream exposing its float64 schedule."""
 
     def __init__(self, times):
         self.arr = np.asarray(times, dtype=np.float64)
@@ -347,9 +348,6 @@ class _FakeStream:
         return self.lst[self.i] if self.i < len(self.lst) else None
 
     def times(self):
-        return self.lst, self.i
-
-    def times_array(self):
         return self.arr, self.i
 
     def deliver_one(self):
@@ -357,42 +355,38 @@ class _FakeStream:
 
 
 def _drain_runs(
-    streams_times, timer_times, threshold, columnar, outside=None, outside_slot=0
+    streams_times, timer_times, threshold, oracle, outside=None, outside_slot=0
 ):
     """Drain grouped streams; return every delivered run.
 
-    ``outside`` optionally registers one more stream outside the batch
-    group, after ``outside_slot`` group members: its arrivals bound
-    runs, and win ties against the members registered after it.
+    ``oracle`` selects the scalar reference kernel
+    (:class:`~repro.testing.scalar_runs.ScalarRunScheduler`) instead of
+    the production one.  ``outside`` optionally registers one more
+    stream outside the batch group, after ``outside_slot`` group
+    members: its arrivals bound runs, and win ties against the members
+    registered after it.
     """
     clock = VirtualClock()
-    scheduler = EventScheduler(clock=clock, blocking_threshold=threshold)
+    kernel = ScalarRunScheduler if oracle else EventScheduler
+    scheduler = kernel(clock=clock, blocking_threshold=threshold)
     streams = [_FakeStream(t) for t in streams_times]
     by_index = {}
     runs = []
 
-    def deliver(order, times):
-        for index, at in zip(order, times):
+    def deliver(indices, times):
+        order, instants = indices.tolist(), times.tolist()
+        for index, at in zip(order, instants):
             clock.advance_to(at)
             by_index[index].deliver_one()
-        runs.append((list(order), list(times)))
+        runs.append((order, instants))
 
-    def deliver_columns(indices, times):
-        deliver(indices.tolist(), times.tolist())
-
-    group = scheduler.add_batch_group(
-        deliver, deliver_columns if columnar else None
-    )
+    group = scheduler.add_batch_group(deliver)
     for slot, stream in enumerate(streams):
         if outside is not None and slot == outside_slot:
             lone = _FakeStream(outside)
             scheduler.add_stream(lone.peek, lone.deliver_one)
         index = scheduler.add_stream(
-            stream.peek,
-            stream.deliver_one,
-            times=stream.times,
-            times_array=stream.times_array if columnar else None,
-            group=group,
+            stream.peek, stream.deliver_one, times=stream.times, group=group
         )
         by_index[index] = stream
     for at in timer_times:
@@ -416,10 +410,36 @@ def test_array_extraction_matches_scalar_merge(seed):
     streams = [schedule(40), schedule(40)]
     timers = sorted(set((rng.integers(0, 60, size=3) * 0.01).tolist()))
     threshold = 0.03  # grid gaps of >= 4 steps break runs
-    scalar = _drain_runs(streams, timers, threshold, columnar=False)
-    arrays = _drain_runs(streams, timers, threshold, columnar=True)
+    scalar = _drain_runs(streams, timers, threshold, oracle=True)
+    arrays = _drain_runs(streams, timers, threshold, oracle=False)
     assert scalar == arrays
     assert sum(len(order) for order, _ in scalar) == 80
+
+
+@pytest.mark.parametrize("members", [3, 4])
+@pytest.mark.parametrize("outside_slot", [0, 1, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_array_extraction_matches_scalar_merge_many_members(members, outside_slot, seed):
+    """Groups of 3-4 members (plan leaves): k-way heap order and ties.
+
+    A coarse grid makes exact ties across several members, timers, and
+    an outside stream common; the outside stream sits before, between,
+    or after members, so some members win bound ties and others lose.
+    """
+    rng = np.random.default_rng(seed)
+    streams = [
+        np.sort(rng.integers(0, 80, size=int(rng.integers(20, 50)))) * 0.01
+        for _ in range(members)
+    ]
+    timers = sorted(set((rng.integers(0, 80, size=4) * 0.01).tolist()))
+    outside = np.sort(rng.integers(0, 80, size=6)) * 0.01
+    scalar, arrays = (
+        _drain_runs(streams, timers, 0.03, oracle, outside, outside_slot)
+        for oracle in (True, False)
+    )
+    assert scalar == arrays
+    assert sum(len(order) for order, _ in scalar) == sum(len(t) for t in streams)
+    assert max(len(set(order)) for order, _ in scalar) >= 3
 
 
 def _bursts(rng, n_bursts, burst_len, spacing, gap):
@@ -435,7 +455,10 @@ def _bursts(rng, n_bursts, burst_len, spacing, gap):
 
 @pytest.mark.parametrize(
     "shape",
-    ["long-run", "bursty", "window-ties", "bounded", "bounded-mixed", "one-member"],
+    [
+        "long-run", "bursty", "window-ties", "bounded", "bounded-mixed",
+        "one-member", "four-members",
+    ],
 )
 @pytest.mark.parametrize("seed", range(2))
 def test_array_extraction_matches_scalar_merge_long_schedules(shape, seed):
@@ -475,12 +498,19 @@ def test_array_extraction_matches_scalar_merge_long_schedules(shape, seed):
         timers = [5.0, 12.34, 30.0]
         outside = np.array([7.77, 20.0, 20.0, 33.33])
         outside_slot = 1 if shape == "bounded-mixed" else 0
+    elif shape == "four-members":
+        # A star-4 plan's leaves: tied grids of different strides, with
+        # timer and outside bounds splitting the member order 2 + 2.
+        streams = [np.repeat(np.arange(600) * 0.01, k) for k in (2, 3, 1, 4)]
+        timers = [1.5, 3.21]
+        outside = np.array([2.0, 4.0, 4.0])
+        outside_slot = 2
     else:
         # One member; it alone carries runs longer than the window.
         streams = [np.append(np.arange(3000) * 0.01, 100 + np.arange(2200) * 0.01)]
     scalar, arrays = (
-        _drain_runs(streams, timers, threshold, columnar, outside, outside_slot)
-        for columnar in (False, True)
+        _drain_runs(streams, timers, threshold, oracle, outside, outside_slot)
+        for oracle in (True, False)
     )
     assert scalar == arrays
     assert sum(len(order) for order, _ in scalar) == sum(len(t) for t in streams)
@@ -500,36 +530,11 @@ def test_array_extraction_window_edge_on_tied_bound():
         np.append(4.0 + 0.0009 * np.arange(1000) + 0.0004, np.full(10, 5.0)),
     ]
     scalar, arrays = (
-        _drain_runs(streams, [], 0.5, columnar, np.array([5.0]), outside_slot=1)
-        for columnar in (False, True)
+        _drain_runs(streams, [], 0.5, oracle, np.array([5.0]), outside_slot=1)
+        for oracle in (True, False)
     )
     assert scalar == arrays
     assert len(scalar[0][0]) == 2100
-
-
-def test_array_extraction_falls_back_without_times_array():
-    streams = [np.array([0.0, 0.001, 0.002])]
-    runs = _drain_runs(streams, [], 1.0, columnar=True)
-    # Register the same schedule without the array hook: the scalar
-    # extraction serves deliver_columns' group via the list deliverer.
-    clock = VirtualClock()
-    scheduler = EventScheduler(clock=clock, blocking_threshold=1.0)
-    stream = _FakeStream(streams[0])
-    collected = []
-    scheduler.add_batch_group(
-        lambda order, times: (
-            collected.append(list(times)),
-            [stream.deliver_one() for _ in order],
-            clock.advance_to(times[-1]),
-        ),
-        lambda indices, times: collected.append("columnar"),
-    )
-    scheduler.add_stream(
-        stream.peek, stream.deliver_one, times=stream.times, group=0
-    )
-    scheduler.run()
-    assert collected == [[0.0, 0.001, 0.002]]
-    assert runs == [([0, 0, 0], [0.0, 0.001, 0.002])]
 
 
 # -- native-float schedules (no numpy scalar boxing) -------------------------

@@ -70,7 +70,6 @@ def test_morphing_join_delegates_until_morph():
     assert op.name == "morph[SHJ]"
     assert op.active is op._initial
     assert not op.morphed
-    assert op.supports_column_batches
     assert op.supports_memory_resize
 
 

@@ -19,7 +19,9 @@ sequence.  This suite pins that equivalence three ways:
   land mid-batch;
 * an explicit ``stop_after`` granularity check: the batched path must
   halt after the same number of delivered tuples as the per-tuple path,
-  not at the end of the batch the stop fired in.
+  not at the end of the batch the stop fired in;
+* and side labelling: a row plays the side of its relation's label on
+  both paths, whichever engine slot its source occupies.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from repro.joins.dphj import DoublePipelinedHashJoin
 from repro.joins.pmj import ProgressiveMergeJoin
 from repro.joins.xjoin import XJoin, XJoinStaticMemory
 from repro.net.arrival import ConstantRate, ParetoArrival, PoissonArrival
+from repro.errors import ConfigurationError
 from repro.net.source import NetworkSource
 from repro.sim.engine import run_join
+from repro.storage.tuples import SOURCE_A, SOURCE_B, Relation
 from repro.workloads.generator import WorkloadSpec, make_relation_pair
 
 SCALE = BenchScale(n_per_source=400, seed=7)
@@ -274,3 +278,45 @@ def test_retained_results_identical_across_paths(op_kind):
             (r.left.identity(), r.right.identity()) for r in result.results
         ]
     assert sequences["batched"] == sequences["per_tuple"]
+
+
+# -- source sides -------------------------------------------------------------
+
+
+def _keyed(source, n=50):
+    return Relation.from_keys([i % 5 for i in range(n)], source=source)
+
+
+_SIDED_OPERATORS = {
+    "hmj": lambda: HashMergeJoin(HMJConfig(memory_capacity=20)),
+    "xjoin": lambda: XJoin(memory_capacity=20),
+    "pmj": lambda: ProgressiveMergeJoin(memory_capacity=20),
+}
+
+
+@pytest.mark.parametrize("op_kind", sorted(_SIDED_OPERATORS))
+def test_swapped_sources_keep_their_relation_sides(op_kind):
+    """B's relation in the engine's first slot still plays side B.
+
+    Per-event delivery sides each tuple by its ``source`` label; the
+    batched path must side each row the same way, not by the slot its
+    stream was registered in.
+    """
+    results = {}
+    for label, path in PATHS.items():
+        # B is the shorter relation, so its tids (0..29) tell the
+        # sides apart in every result.
+        src_b = NetworkSource(_keyed(SOURCE_B, 30), ConstantRate(1000.0), seed=1)
+        src_a = NetworkSource(_keyed(SOURCE_A), ConstantRate(1000.0), seed=2)
+        result = run_join(src_b, src_a, _SIDED_OPERATORS[op_kind](), **path)
+        results[label] = sorted(r.identity() for r in result.results)
+    assert results["batched"] == results["per_tuple"]
+    assert len(results["batched"]) == 300
+    assert {right[1] for _, right in results["batched"]} == set(range(30))
+
+
+def test_same_labelled_sources_are_rejected():
+    src_1 = NetworkSource(_keyed(SOURCE_A), ConstantRate(1000.0), seed=1)
+    src_2 = NetworkSource(_keyed(SOURCE_A), ConstantRate(1000.0), seed=2)
+    with pytest.raises(ConfigurationError, match="same relation label"):
+        run_join(src_1, src_2, HashMergeJoin(HMJConfig(memory_capacity=20)))

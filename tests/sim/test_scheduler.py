@@ -9,6 +9,7 @@ blocked-window slicing, the no-progress guard, and timer dropping.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -258,7 +259,7 @@ def test_journal_records_blocked_windows():
 def make_batched_streams(sched, times_by_tag: dict[str, list[float]], log: list):
     """Register the given streams in one batch group.
 
-    The batch deliverer consumes each offered arrival from its queue
+    The group callback consumes each offered arrival from its queue
     (asserting the offered time matches the queue head) and appends
     ``(tag, time)`` to ``log``; returns the list of delivered batches.
     """
@@ -266,9 +267,10 @@ def make_batched_streams(sched, times_by_tag: dict[str, list[float]], log: list)
     index_to_tag: dict[int, str] = {}
     batches: list[list[tuple[str, float]]] = []
 
-    def deliver_batch(order, times):
+    def deliver_batch(indices, times):
+        assert indices.dtype == np.int64 and times.dtype == np.float64
         batch = []
-        for index, at in zip(order, times):
+        for index, at in zip(indices.tolist(), times.tolist()):
             tag = index_to_tag[index]
             assert queues[tag][0] == at
             queues[tag].pop(0)
@@ -282,7 +284,7 @@ def make_batched_streams(sched, times_by_tag: dict[str, list[float]], log: list)
         index = sched.add_stream(
             lambda queue=queue: queue[0] if queue else None,
             lambda: pytest.fail("grouped stream delivered per-event"),
-            times=lambda queue=queue, schedule=schedule: (
+            times=lambda queue=queue, schedule=np.asarray(schedule): (
                 schedule,
                 len(schedule) - len(queue),
             ),
@@ -358,12 +360,12 @@ def test_batching_disabled_delivers_per_event():
     queue = [0.1, 0.2]
 
     group = sched.add_batch_group(
-        lambda order, times: pytest.fail("batching disabled")
+        lambda indices, times: pytest.fail("batching disabled")
     )
     sched.add_stream(
         lambda: queue[0] if queue else None,
         lambda: log.append(queue.pop(0)),
-        times=lambda: ([0.1, 0.2], 2 - len(queue)),
+        times=lambda: (np.array([0.1, 0.2]), 2 - len(queue)),
         group=group,
     )
     assert sched.run()
@@ -375,36 +377,34 @@ def test_grouped_stream_requires_both_group_and_times():
     with pytest.raises(ConfigurationError):
         sched.add_stream(lambda: None, lambda: None, group=0)
     with pytest.raises(ConfigurationError):
-        sched.add_stream(lambda: None, lambda: None, times=lambda: ([], 0))
+        sched.add_stream(
+            lambda: None, lambda: None, times=lambda: (np.array([]), 0)
+        )
 
 
 def test_unknown_batch_group_rejected():
     sched, _ = make_scheduler()
     with pytest.raises(ConfigurationError):
         sched.add_stream(
-            lambda: None, lambda: None, times=lambda: ([], 0), group=3
+            lambda: None, lambda: None, times=lambda: (np.array([]), 0), group=3
         )
 
 
 def test_batch_deliverer_may_stop_short():
-    # A deliverer honouring stop_when consumes only part of the offered
-    # run; the kernel re-reads the streams and ends the run cleanly.
-    delivered: list[float] = []
-    schedule = [0.1, 0.2, 0.3, 0.4]
-    queue = list(schedule)
+    # A callback may consume only part of the offered run; the kernel
+    # re-reads the streams and offers the rest as the next run.
+    schedule = np.array([0.1, 0.2, 0.3, 0.4])
+    queue = schedule.tolist()
+    offered: list[list[float]] = []
     clock = VirtualClock()
-    sched = EventScheduler(
-        clock=clock,
-        blocking_threshold=1.0,
-        stop_when=lambda: len(delivered) >= 2,
-    )
+    sched = EventScheduler(clock=clock, blocking_threshold=1.0)
 
-    def deliver_batch(order, times):
-        for at in times:
-            if len(delivered) >= 2:
-                return
+    def deliver_batch(indices, times):
+        offered.append(times.tolist())
+        for at in times.tolist()[:2]:
             assert queue[0] == at
-            delivered.append(queue.pop(0))
+            clock.advance_to(at)
+            queue.pop(0)
 
     group = sched.add_batch_group(deliver_batch)
     sched.add_stream(
@@ -413,10 +413,46 @@ def test_batch_deliverer_may_stop_short():
         times=lambda: (schedule, len(schedule) - len(queue)),
         group=group,
     )
-    assert not sched.run()
+    assert sched.run()
+    assert offered == [[0.1, 0.2, 0.3, 0.4], [0.3, 0.4]]
+    assert queue == []
+
+
+@pytest.mark.parametrize("stop_at", [1, 3, 4])
+def test_armed_stop_replays_run_per_arrival(stop_at):
+    # With stop_when armed the kernel never calls the group callback:
+    # it replays the extracted run through the per-event hooks and
+    # checks the predicate between two arrivals of that one run.
+    log: list = []
+    schedules = {"a": [0.1, 0.3, 0.5], "b": [0.2, 0.4]}
+    queues = {tag: list(times) for tag, times in schedules.items()}
+    clock = VirtualClock()
+    sched = EventScheduler(
+        clock=clock, blocking_threshold=1.0, stop_when=lambda: len(log) >= stop_at
+    )
+    group = sched.add_batch_group(
+        lambda indices, times: pytest.fail("callback called with a stop armed")
+    )
+    for tag, schedule in schedules.items():
+        queue = queues[tag]
+        sched.add_stream(
+            lambda queue=queue: queue[0] if queue else None,
+            lambda queue=queue, tag=tag: log.append((tag, queue.pop(0), clock.now)),
+            times=lambda queue=queue, arr=np.asarray(schedule): (
+                arr,
+                len(arr) - len(queue),
+            ),
+            group=group,
+        )
+    steps = 0
+    while sched.step():
+        steps += 1
+    # One step: the whole interleaved run was extracted at once, and
+    # the stop landed right after arrival ``stop_at``, before the next.
+    assert steps == 1
     assert sched.stopped
-    assert delivered == [0.1, 0.2]
-    assert queue == [0.3, 0.4]
+    expected = [("a", 0.1), ("b", 0.2), ("a", 0.3), ("b", 0.4), ("a", 0.5)]
+    assert log == [(tag, at, at) for tag, at in expected[:stop_at]]
 
 
 def test_unbounded_budget_carries_stop_predicate():
