@@ -160,9 +160,9 @@ class StreamingJoinOperator(abc.ABC):
     def on_column_batch(self, batch: "ColumnBatch") -> None:
         """Process a run of arrivals delivered as columns.
 
-        The engine hands every run batch to this hook (only while no
-        early stop is armed; the kernel then replays runs through
-        :meth:`on_tuple` itself).  Implementations must match per-tuple
+        The driver hands a one-join plan's every run batch to this
+        hook (only while no early stop is armed; the kernel then
+        replays runs through :meth:`on_tuple` itself).  Implementations must match per-tuple
         delivery exactly — identical per-tuple clock charges and
         emission order.  This default boxes the batch and replays it
         through :meth:`on_tuple_batch`, so operators without an

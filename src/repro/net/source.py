@@ -26,6 +26,7 @@ consumer:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -518,7 +519,7 @@ class ReorderBuffer:
         self._watermark = float("-inf")
         self._peak_buffered = 0
         self._released = 0
-        self._scheduler = None
+        self._installed = False
 
     @property
     def label(self) -> str:
@@ -547,19 +548,19 @@ class ReorderBuffer:
 
     def install(self, scheduler) -> None:
         """Arm the first punctuation timer on the scheduler."""
-        if self._scheduler is not None:
+        if self._installed:
             raise ConfigurationError(
                 f"reorder buffer {self._label!r} is already installed"
             )
-        self._scheduler = scheduler
+        self._installed = True
         if self._next < self._n:
             scheduler.call_at(
-                self._deadlines[self._next], self._on_punctuation, keep_alive=True
+                self._deadlines[self._next],
+                partial(self._on_punctuation, scheduler),
+                keep_alive=True,
             )
 
-    def _on_punctuation(self) -> None:
-        scheduler = self._scheduler
-        assert scheduler is not None
+    def _on_punctuation(self, scheduler) -> None:
         source = self._source
         # The armed instant: releases are bounded by it, never by the
         # live clock — processing may push the clock past later
@@ -602,7 +603,9 @@ class ReorderBuffer:
             self._deliver(t)
         if self._next < self._n and not scheduler.stopped:
             scheduler.call_at(
-                self._deadlines[self._next], self._on_punctuation, keep_alive=True
+                self._deadlines[self._next],
+                partial(self._on_punctuation, scheduler),
+                keep_alive=True,
             )
 
     def __repr__(self) -> str:

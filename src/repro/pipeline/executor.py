@@ -1,15 +1,20 @@
-"""Execution engine for pipelined multi-join plans.
+"""The one driver: a tree of streaming joins on the event kernel.
 
-Generalises :class:`repro.sim.engine.JoinSimulation` from one join over
-two sources to a tree of joins over any number of leaves, as a second
-adapter on the shared :class:`~repro.sim.scheduler.EventScheduler`
-kernel:
+Every run in this repository — a two-source :func:`~repro.sim.engine.run_join`
+as much as an n-way :func:`run_plan` — is a plan executed here, on the
+shared :class:`~repro.sim.scheduler.EventScheduler` kernel.  A binary
+join is the one-join plan ``join(leaf(a), leaf(b), ...)``
+(:class:`~repro.sim.engine.JoinSimulation` builds exactly that):
 
 * one shared virtual clock and cost model across the whole plan;
 * one disk and one recorder *per join node* (operators keep their
   private spill partitions; per-node I/O remains attributable);
-* every result a node produces is wrapped as a side-labelled tuple and
-  pushed into its parent operator immediately — full pipelining;
+* a one-join plan over two bare leaves receives each merged run of
+  arrivals as columns (:meth:`StreamingJoinOperator.on_column_batch
+  <repro.joins.base.StreamingJoinOperator.on_column_batch>`); deeper
+  plans get the kernel's per-arrival replay, because every result a
+  node produces is wrapped as a side-labelled tuple and pushed into
+  its parent operator immediately — full pipelining;
 * when *every* leaf is silent past the blocking threshold, the kernel
   shares the gap round-robin between the nodes that have background
   work (HMJ/PMJ merging, XJoin's reactive stage), in threshold-sized
@@ -24,7 +29,11 @@ kernel:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
+import numpy as np
+
+from repro.core.columnar import ColumnBatch
 from repro.errors import ConfigurationError
 from repro.joins.base import JoinRuntime, StreamingJoinOperator
 from repro.metrics.recorder import MetricsRecorder
@@ -41,7 +50,6 @@ from repro.pipeline.plan import (
 from repro.sim.broker import ResourceBroker
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
-from repro.sim.engine import ResultStream
 from repro.sim.journal import SimulationJournal
 from repro.sim.scheduler import EventScheduler
 from repro.storage.disk import SimulatedDisk
@@ -128,14 +136,12 @@ class PlanExecutor:
         self.journal = SimulationJournal(self.clock) if journal else None
 
         self._joins = validate_plan(root)  # bottom-up order
-        self._root = root
         self._states: dict[int, _NodeState] = {}
         for node in self._joins:
-            is_root = node is root
-            disk = SimulatedDisk(self.clock, self._costs)
+            disk = self._make_disk()
             # Non-root nodes must retain results to feed their parents.
             recorder = MetricsRecorder(
-                self.clock, disk, keep_results=keep_results or not is_root
+                self.clock, disk, keep_results=keep_results or node is not root
             )
             operator = node.operator_factory()
             operator.bind(
@@ -167,38 +173,51 @@ class PlanExecutor:
         self.scheduler = EventScheduler(
             clock=self.clock,
             blocking_threshold=float(blocking_threshold),
-            # Armed only when an early stop is configured — see
-            # SimulationEngine: a live predicate forces synchronous
-            # per-result emission in the columnar merge path.
+            # Only arm the early-stop predicate when an early stop is
+            # actually configured: an armed predicate forces the merge
+            # machinery into per-result synchronous emission (the
+            # predicate may read the live result count), which the
+            # batched columnar path otherwise avoids.
             stop_when=(
                 self._stop_reached if stop_after is not None else None
             ),
             journal=self.journal,
         )
-        # All leaves share one batch group without a callback: the
-        # kernel replays each merged run of leaf arrivals per tuple
-        # (results must cascade upward immediately), but its heap
-        # round-trips are amortised.  Disordered leaves are not kernel
+        # All leaves share one batch group.  A one-join plan over two
+        # bare leaves takes each merged run as columns; anything deeper
+        # has the kernel replay runs per arrival, since results must
+        # cascade upward immediately.  Disordered leaves are not kernel
         # streams at all — their tuples arrive through a reorder
-        # buffer's punctuation timers in event order at e_i + B.
-        group = self.scheduler.add_batch_group()
+        # buffer's punctuation timers in event order at e_i + B — so
+        # the left leaf's stream index stays -1 for them.
+        columnar = len(self._joins) == 1 and not any(
+            chain for *_, chain in self._leaves
+        )
+        group = self.scheduler.add_batch_group(
+            self._deliver_batch if columnar else None
+        )
+        self._left_stream = -1
+        # Each in-order leaf's column pop, by the side it plays.
+        self._pop_columns: dict[str, Callable[[int], tuple]] = {}
         self._buffers: list[ReorderBuffer] = []
         for leaf, node, side, chain in self._leaves:
+            release = self._release_into(node, side, chain)
             if isinstance(leaf.source, DisorderedSource):
-                buffer = ReorderBuffer(
-                    leaf.source,
-                    self._release_into(node, side, chain),
-                    label=leaf.label,
-                )
+                buffer = ReorderBuffer(leaf.source, release, label=leaf.label)
                 buffer.install(self.scheduler)
                 self._buffers.append(buffer)
                 continue
-            self.scheduler.add_stream(
+            pop = leaf.source.pop
+            index = self.scheduler.add_stream(
                 leaf.source.peek_time,
-                self._deliver_from(leaf, node, side, chain),
+                lambda pop=pop, release=release: release(pop()[1]),
                 times=leaf.source.pending_times_array,
                 group=group,
             )
+            if columnar:
+                self._pop_columns[side] = leaf.source.pop_batch_columns
+                if side == SOURCE_A:
+                    self._left_stream = index
         self.scheduler.batching = bool(batch_delivery)
         for node in self._joins:
             state = self._states[id(node)]
@@ -214,19 +233,26 @@ class PlanExecutor:
         self._checks = None
         if checks:
             # Imported lazily: unchecked runs never touch the
-            # conformance layer.  Plan nodes join manufactured tuples
-            # (relabelled sides, synthetic tids), so the arrival-based
-            # causality check only applies at the two-source engine;
-            # every other invariant is watched per node.
-            from repro.testing.checks import coerce_checks
+            # conformance layer.
+            from repro.testing.checks import arrival_map, coerce_checks
 
             self._checks = coerce_checks(checks)
-            watched = []
             for node in self._joins:
-                state = self._states[id(node)]
-                self._checks.watch_recorder(state.recorder, node.label)
-                watched.append((node.label, state.operator))
-            self._checks.watch_kernel(self.scheduler, self.clock, watched)
+                # Causality is checkable against a node's direct leaf
+                # children: their tuples keep their tid and play the
+                # node's side.  A side fed by a join has no arrivals,
+                # so its synthetic tuples never match.
+                arrivals = arrival_map(
+                    *[(side, leaf.source) for leaf, n, side, _ in self._leaves if n is node]
+                )
+                self._checks.watch_recorder(
+                    self._states[id(node)].recorder, node.label, arrivals=arrivals
+                )
+            self._checks.watch_kernel(self.scheduler, self.clock, self.operators())
+
+    def _make_disk(self) -> SimulatedDisk:
+        """A fresh disk for one join node."""
+        return SimulatedDisk(self.clock, self._costs)
 
     # -- public API ---------------------------------------------------------
 
@@ -235,16 +261,10 @@ class PlanExecutor:
         """The root join's recorder (the plan's output stream)."""
         return self._root_state.recorder
 
-    def _finalize_checks(self, completed: bool) -> None:
-        if self._checks is not None:
-            self._checks.finalize(
-                [
-                    (node.label, self._states[id(node)].operator)
-                    for node in self._joins
-                ],
-                self.clock,
-                completed,
-            )
+    @property
+    def reorder_buffers(self) -> list[ReorderBuffer]:
+        """The installed reorder buffers (empty for in-order plans)."""
+        return self._buffers
 
     # -- the uniform query-driver surface (see repro.sim.query) -------------
 
@@ -260,7 +280,12 @@ class PlanExecutor:
         return self._stop_reached()
 
     def finish_run(self) -> bool:
-        """Run the bottom-up cleanup and finalise checks; True if completed."""
+        """Run the bottom-up cleanup and finalise checks; True if completed.
+
+        Call only after the streaming phase drained without stopping;
+        the cleanup itself may still stop early (``stop_after`` during
+        a final merge), in which case False is returned.
+        """
         self._finish_all()
         completed = not self._stop_reached()
         self._finalize_checks(completed)
@@ -268,13 +293,28 @@ class PlanExecutor:
 
     def build_result(self, completed: bool) -> PipelineResult:
         """Snapshot the run's outcome object."""
-        return self._result(completed)
+        stats = [
+            NodeStats(
+                label=node.label,
+                operator=self._states[id(node)].operator.name,
+                results=self._states[id(node)].recorder.count,
+                io=self._states[id(node)].disk.io_count,
+            )
+            for node in self._joins
+        ]
+        return PipelineResult(
+            recorder=self._root_state.recorder,
+            clock=self.clock,
+            node_stats=stats,
+            completed=completed,
+            journal=self.journal,
+        )
 
-    def run(self) -> PipelineResult:
-        """Execute the plan."""
+    def run(self):
+        """Execute the plan; returns :meth:`build_result`'s object."""
         if not self.scheduler.run():
-            return self._result(completed=False)
-        return self._result(completed=self.finish_run())
+            return self.build_result(completed=False)
+        return self.build_result(completed=self.finish_run())
 
     def stream(self):
         """Execute the plan, yielding root results as they surface.
@@ -300,35 +340,68 @@ class PlanExecutor:
             yield from drain()
         yield from drain()
         if not self._stop_reached():
-            self._finish_all()
-            self._finalize_checks(completed=not self._stop_reached())
+            self.finish_run()
             yield from drain()
 
     # -- kernel participants ------------------------------------------------
 
-    def _deliver_from(self, leaf: SourceLeaf, node: JoinNode, side: str, chain):
-        def deliver() -> None:
-            _, raw = leaf.source.pop()
-            wrapped = self._apply_chain(chain, self._wrap_leaf_tuple(raw, side), side)
-            if wrapped is not None:
-                self._deliver(node, wrapped)
+    def _release_into(
+        self, node: JoinNode, side: str, chain: list[Transform]
+    ) -> Callable[[Tuple], None]:
+        """A leaf tuple's way into its join: relabel, transform, cascade.
 
-        return deliver
-
-    def _release_into(self, node: JoinNode, side: str, chain):
-        """Reorder-buffer release callback: tuple in, cascade upward."""
+        Kernel streams call it as ``release(pop()[1])``, reorder
+        buffers directly.  A bare leaf under the root takes the lean
+        path: the root's results go nowhere, so nothing is pumped.
+        """
+        state = self._states[id(node)]
+        on_tuple = state.operator.on_tuple
+        if not chain and state.parent is None:
+            return lambda raw: on_tuple(_relabel(raw, side))
 
         def release(raw: Tuple) -> None:
-            wrapped = self._apply_chain(chain, self._wrap_leaf_tuple(raw, side), side)
-            if wrapped is not None:
-                self._deliver(node, wrapped)
+            t = self._apply_chain(chain, _relabel(raw, side), side)
+            if t is not None:
+                on_tuple(t)
+                self._pump(node)
 
         return release
 
-    @property
-    def reorder_buffers(self) -> list[ReorderBuffer]:
-        """The installed reorder buffers (empty for in-order plans)."""
-        return self._buffers
+    def _deliver_batch(self, indices: np.ndarray, times: np.ndarray) -> None:
+        """Pop one merged run of a one-join plan's leaves as columns.
+
+        The kernel calls this only while no early stop is armed; it
+        replays runs through the streams' per-arrival hooks otherwise.
+        ``indices`` holds each run position's stream index.  A row's
+        side is its leaf's position — exactly what per-tuple
+        relabelling gives.  Single-leaf runs are zero-copy slices;
+        mixed runs scatter the two leaves' column slices into run
+        order.
+        """
+        pops = self._pop_columns
+        from_left = indices == self._left_stream
+        n = len(from_left)
+        count_left = int(np.count_nonzero(from_left))
+        if count_left == n:
+            _, keys, tids, payloads = pops[SOURCE_A](n)
+        elif count_left == 0:
+            _, keys, tids, payloads = pops[SOURCE_B](n)
+        else:
+            _, keys_l, tids_l, pays_l = pops[SOURCE_A](count_left)
+            _, keys_r, tids_r, pays_r = pops[SOURCE_B](n - count_left)
+            from_right = ~from_left
+            keys = np.empty(n, dtype=np.int64)
+            keys[from_left], keys[from_right] = keys_l, keys_r
+            tids = np.empty(n, dtype=np.int64)
+            tids[from_left], tids[from_right] = tids_l, tids_r
+            payloads = None
+            if pays_l is not None or pays_r is not None:
+                next_l = iter(pays_l or [None] * count_left).__next__
+                next_r = iter(pays_r or [None] * (n - count_left)).__next__
+                payloads = [next_l() if f else next_r() for f in from_left.tolist()]
+        self._root_state.operator.on_column_batch(
+            ColumnBatch(keys=keys, tids=tids, is_a=from_left, times=times, payloads=payloads)
+        )
 
     def _worker_for(self, state: _NodeState):
         def run_blocked(budget) -> None:
@@ -339,6 +412,8 @@ class PlanExecutor:
 
     def _finish_all(self) -> None:
         """Finish joins bottom-up, flowing final results into parents."""
+        if self.journal is not None:
+            self.journal.record("engine", "finish")
         for node in self._joins:
             if self._stop_reached():
                 return
@@ -346,22 +421,23 @@ class PlanExecutor:
             state.operator.finish(self.scheduler.unbounded_budget())
             self._pump(node)
 
-    # -- result propagation ----------------------------------------------------
+    def _finalize_checks(self, completed: bool) -> None:
+        if self._checks is not None:
+            self._checks.finalize(self.operators(), self.clock, completed)
 
-    def _deliver(self, node: JoinNode, t: Tuple) -> None:
-        state = self._states[id(node)]
-        state.operator.on_tuple(t)
-        self._pump(node)
+    # -- result propagation ----------------------------------------------------
 
     def _pump(self, node: JoinNode) -> None:
         """Push any fresh results of ``node`` up the tree, cascading."""
-        current: JoinNode | None = node
-        while current is not None:
+        current = node
+        while True:
             state = self._states[id(current)]
-            fresh = state.recorder.results_since(state.consumed)
-            state.consumed += len(fresh)
-            if not fresh or state.parent is None:
+            if state.parent is None:
                 return
+            fresh = state.recorder.results_since(state.consumed)
+            if not fresh:
+                return
+            state.consumed += len(fresh)
             parent_node, side, chain = state.parent
             parent_state = self._states[id(parent_node)]
             for result in fresh:
@@ -397,12 +473,6 @@ class PlanExecutor:
                 t = Tuple(key=mapped.key, tid=t.tid, source=side, payload=mapped.payload)
         return t
 
-    def _wrap_leaf_tuple(self, t: Tuple, side: str) -> Tuple:
-        """Relabel a leaf tuple to the side it plays for its join."""
-        if t.source == side:
-            return t
-        return Tuple(key=t.key, tid=t.tid, source=side, payload=t.payload)
-
     def _wrap_result(self, result: JoinResult, side: str, state: _NodeState) -> Tuple:
         """Turn a child's result into a tuple for the parent join.
 
@@ -423,23 +493,48 @@ class PlanExecutor:
             and self._root_state.recorder.count >= self._stop_after
         )
 
-    def _result(self, completed: bool) -> PipelineResult:
-        stats = [
-            NodeStats(
-                label=self._states[id(node)].node.label,
-                operator=self._states[id(node)].operator.name,
-                results=self._states[id(node)].recorder.count,
-                io=self._states[id(node)].disk.io_count,
-            )
-            for node in self._joins
-        ]
-        return PipelineResult(
-            recorder=self._root_state.recorder,
-            clock=self.clock,
-            node_stats=stats,
-            completed=completed,
-            journal=self.journal,
-        )
+
+def _relabel(t: Tuple, side: str) -> Tuple:
+    """A leaf tuple as the side it plays for its join."""
+    if t.source == side:
+        return t
+    return Tuple(key=t.key, tid=t.tid, source=side, payload=t.payload)
+
+
+class ResultStream:
+    """Iterator over a streaming run's ``(result, event)`` pairs.
+
+    What :func:`stream_plan` (and :func:`~repro.sim.engine.stream_join`)
+    return: iterate it like a plain generator, with the run's context
+    (journal, recorder, clock) attached so streaming consumers can
+    read the event timeline without holding on to the driver
+    themselves.
+    """
+
+    def __init__(self, driver: PlanExecutor) -> None:
+        self._driver = driver
+        self._iter = driver.stream()
+
+    def __iter__(self) -> "ResultStream":
+        return self
+
+    def __next__(self):
+        return next(self._iter)
+
+    @property
+    def journal(self) -> SimulationJournal | None:
+        """The structural-event timeline (when ``journal=True``)."""
+        return self._driver.journal
+
+    @property
+    def recorder(self) -> MetricsRecorder:
+        """The run's metrics recorder."""
+        return self._driver.recorder
+
+    @property
+    def clock(self) -> VirtualClock:
+        """The run's virtual clock."""
+        return self._driver.clock
 
 
 def run_plan(

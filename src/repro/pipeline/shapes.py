@@ -52,12 +52,11 @@ def chain_plan(
         raise ConfigurationError(
             f"a chain plan needs >= 2 sources, got {len(sources)}"
         )
-    node: PlanNode = join(
+    node = join(
         leaf(sources[0]), leaf(sources[1]), factory, label=f"{label_prefix}0"
     )
     for i, src in enumerate(sources[2:], start=1):
         node = join(node, leaf(src), factory, label=f"{label_prefix}{i}")
-    assert isinstance(node, JoinNode)
     return node
 
 
@@ -114,21 +113,20 @@ def bushy_plan(
     while len(level) > 1:
         paired: list[PlanNode] = []
         for i in range(0, len(level) - 1, 2):
-            paired.append(
-                join(
-                    level[i],
-                    level[i + 1],
-                    factory,
-                    label=f"{label_prefix}-d{depth}-{i // 2}",
-                )
+            node = join(
+                level[i],
+                level[i + 1],
+                factory,
+                label=f"{label_prefix}-d{depth}-{i // 2}",
             )
+            paired.append(node)
         if len(level) % 2:
             paired.append(level[-1])
         level = paired
         depth += 1
-    root = level[0]
-    assert isinstance(root, JoinNode)
-    return root
+    # The last level pairs its only two nodes: the last join built is
+    # the root.
+    return node
 
 
 _BUILDERS = {"chain": chain_plan, "star": star_plan, "bushy": bushy_plan}

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ConfigurationError
@@ -332,7 +333,6 @@ class MorphController(ResourceBroker):
         self._advisor = advisor
         self._interval = interval
         self._grant_total = grant_total
-        self._scheduler: "EventScheduler | None" = None
         #: ``(virtual_time, switched)`` per attempted morph.
         self.morph_log: list[tuple[float, bool]] = []
 
@@ -357,24 +357,20 @@ class MorphController(ResourceBroker):
     def install(self, scheduler: "EventScheduler") -> None:
         """Register the grant schedule plus the first advisor poll."""
         super().install(scheduler)
-        self._scheduler = scheduler
-        scheduler.call_at(self._interval, self._poll)
+        scheduler.call_at(self._interval, partial(self._poll, scheduler))
 
-    def _poll(self) -> None:
+    def _poll(self, scheduler: "EventScheduler") -> None:
         op = self._bindings[0].operator
         now = op.clock.now
         decision = self._advisor.observe(now, op.tuples_seen)
         if not decision.morph:
-            assert self._scheduler is not None
-            self._scheduler.call_at(now + self._interval, self._poll)
+            scheduler.call_at(now + self._interval, partial(self._poll, scheduler))
             return
         switched = bool(op.morph())
         self.morph_log.append((now, switched))
         if switched and self._grant_total is not None:
             self.apply(self._grant_total)
-        journal = (
-            self._scheduler.journal if self._scheduler is not None else None
-        )
+        journal = scheduler.journal
         if journal is not None:
             journal.record(
                 "morph-controller",

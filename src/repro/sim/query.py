@@ -1,15 +1,17 @@
 """One query as a first-class scheduler participant.
 
-Historically a :class:`~repro.sim.engine.JoinSimulation` (or a
-:class:`~repro.pipeline.executor.PlanExecutor`) *owned* the process: it
+Historically a driver — a
+:class:`~repro.pipeline.executor.PlanExecutor`, or its one-join
+:class:`~repro.sim.engine.JoinSimulation` — *owned* the process: it
 built the kernel, ran it to completion, and returned.  A multi-tenant
 service inverts that relationship — many queries share one machine —
 so the per-query state lives in a :class:`Query` object: the driver
 (operators, sources, recorder, checks, journal, its own virtual clock
 and kernel), the stop condition, and an explicit lifecycle.
 
-A ``Query`` wraps any *driver* exposing the uniform surface both
-engines implement:
+A ``Query`` wraps a *driver*, a
+:class:`~repro.pipeline.executor.PlanExecutor`, through its uniform
+surface:
 
 * ``scheduler`` — the query's :class:`~repro.sim.scheduler.EventScheduler`;
 * ``clock`` / ``recorder`` / ``journal`` — the query's private
@@ -68,9 +70,9 @@ class Query:
     """One query's driver plus its scheduler-participant lifecycle.
 
     Args:
-        driver: A :class:`~repro.sim.engine.JoinSimulation` or
-            :class:`~repro.pipeline.executor.PlanExecutor` (anything
-            with the uniform driver surface, see module docstring).
+        driver: A :class:`~repro.pipeline.executor.PlanExecutor`
+            (a :class:`~repro.sim.engine.JoinSimulation` is one; see
+            the module docstring for the surface it uses).
         query_id: Stable identifier used in journals and service events.
         weight: Arbitration weight under weighted broker policies
             (finite, > 0).

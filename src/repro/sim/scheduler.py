@@ -1,11 +1,10 @@
 """The event-driven simulation kernel.
 
-One heap-ordered loop drives every simulation in this repository:
-:class:`~repro.sim.engine.JoinSimulation` (one join, two sources) and
-:class:`~repro.pipeline.executor.PlanExecutor` (a join tree over any
-number of leaves) are thin adapters over the same
-:class:`EventScheduler`.  The kernel owns the three behaviours the two
-pre-kernel loops used to duplicate:
+One heap-ordered loop drives every simulation in this repository, and
+one adapter drives it: :class:`~repro.pipeline.executor.PlanExecutor`
+runs a join tree over any number of leaves, and a two-source
+:class:`~repro.sim.engine.JoinSimulation` is its one-join plan.  The
+kernel owns three behaviours:
 
 * **arrival selection** — each registered stream keeps exactly one
   pending-arrival event on a binary heap keyed by
@@ -56,7 +55,7 @@ observably identical (the equivalence suite pins this).
 
 The kernel knows nothing about joins: streams are ``(peek, deliver)``
 callable pairs, workers are ``(has_work, run)`` pairs, and the
-adapters decide what delivering or working means.
+adapter decides what delivering or working means.
 """
 
 from __future__ import annotations
@@ -359,7 +358,7 @@ class EventScheduler:
 
         Returns False when the streaming phase is over: the stop
         predicate fired, or no arrival remains (pending timers are then
-        dropped — cleanup is the adapters' job).
+        dropped — cleanup is the adapter's job).
         """
         if self.stopped:
             return False

@@ -10,9 +10,9 @@ hook — and checks, while the simulation executes:
   ``append_batch_columns`` skips);
 * **monotone result I/O** — the cumulative page-I/O column never
   decreases;
-* **causal timestamps** — no result is emitted before both of its
-  constituent tuples arrived (engine runs only; the pipeline
-  manufactures intermediate tuples whose arrivals are results);
+* **causal timestamps** — no result is emitted before its constituent
+  leaf tuples arrived (checked at every join node against its direct
+  leaf children; tuples a child join manufactures have no arrival);
 * **memory within grant** — polled after every kernel step, no
   operator's pool exceeds its current capacity;
 * **monotone kernel clock** — the virtual clock never moves backwards
@@ -46,7 +46,7 @@ from repro.errors import ConfigurationError, ConformanceViolationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.joins.base import StreamingJoinOperator
     from repro.metrics.recorder import MetricsRecorder
-    from repro.net.source import NetworkSource
+    from repro.pipeline.plan import LeafSource
     from repro.sim.clock import VirtualClock
     from repro.sim.scheduler import EventScheduler
 
@@ -71,17 +71,21 @@ class Violation:
         return f"[{self.time:.6f}] {self.actor}: {self.check} — {self.message}"
 
 
-def arrival_map(*sources: "NetworkSource") -> dict[tuple[str, int], float]:
-    """Map every source tuple's identity to its arrival instant.
+def arrival_map(
+    *sided: "tuple[str, LeafSource]",
+) -> dict[tuple[str, int], float]:
+    """Map every leaf tuple's identity, as its join sees it, to its arrival.
 
-    Sources materialise their schedules up front, so the map is exact
-    and free of simulation side effects.
+    Each argument is ``(side, source)``: the side the source's tuples
+    play for the join (plans relabel leaf tuples to it), so the key is
+    ``(side, tid)``.  Sources materialise their schedules up front, so
+    the map is exact and free of simulation side effects.
     """
     mapping: dict[tuple[str, int], float] = {}
-    for source in sources:
+    for side, source in sided:
         times, _ = source.pending_times()
         for t, at in zip(source.relation, times):
-            mapping[t.identity()] = at
+            mapping[(side, t.tid)] = at
     return mapping
 
 
@@ -135,9 +139,9 @@ class InvariantChecks:
         """Tap one recorder: duplicates, monotone time/io, causality.
 
         ``arrivals`` (identity → arrival instant, see
-        :func:`arrival_map`) enables the causal-timestamp check; leave
-        it ``None`` when constituent tuples have no network arrival
-        (pipeline intermediates).
+        :func:`arrival_map`) enables the causal-timestamp check;
+        identities missing from it (pipeline intermediates) are
+        skipped.
         """
         seen: set[tuple] = set()
         last = [0.0, 0]  # previous event's (time, io)

@@ -140,10 +140,11 @@ RESIZABLE = ("hmj", "xjoin", "pmj", "dphj", "hmj-skew")
 BUDGETED = RESIZABLE
 
 #: The delivery axis, shared by single joins and plans: label -> the
-#: engine's ``batch_delivery`` switch.  Batched single joins hand every
-#: run to ``on_column_batch`` (operators without an array path box it
-#: and replay ``on_tuple``); plans, and any run with ``stop_after``
-#: armed, are replayed per arrival by the kernel itself.
+#: driver's ``batch_delivery`` switch.  Batched one-join plans — every
+#: single join — hand each run to ``on_column_batch`` (operators
+#: without an array path box it and replay ``on_tuple``); deeper plans,
+#: and any run with ``stop_after`` armed, are replayed per arrival by
+#: the kernel itself.
 DELIVERY_PATHS: dict[str, bool] = {"batched": True, "per-event": False}
 
 #: Relations per plan cell (4 exercises every shape: a 3-rung chain, a

@@ -19,6 +19,7 @@ from repro.net.source import NetworkSource
 from repro.pipeline.executor import run_plan
 from repro.pipeline.plan import join, leaf
 from repro.sim.engine import run_join, stream_join
+from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
 from repro.testing import InvariantChecks
 from repro.workloads.generator import WorkloadSpec, make_relation_pair
 
@@ -222,6 +223,64 @@ def test_result_before_arrival_detected():
     checks = InvariantChecks(mode="collect")
     run_join(src_a, src_b, _PsychicSHJ(matching[-1]), checks=checks)
     assert "result-before-arrival" in _checks_fired(checks)
+
+
+class _ClairvoyantSHJ(SymmetricHashJoin):
+    """Pairs the first opposite-side tuple with a partner not yet arrived.
+
+    The partner is named by its identity as the node sees it —
+    ``(side, tid)`` — and borrows the key of the tuple it pairs with.
+    """
+
+    def __init__(self, side, tid):
+        super().__init__()
+        self._side = side
+        self._tid = tid
+        self._cheated = False
+
+    def on_tuple(self, t):
+        if not self._cheated and t.source != self._side:
+            self._cheated = True
+            self.emit(t, Tuple(key=t.key, tid=self._tid, source=self._side), "cheat")
+        super().on_tuple(t)
+
+
+@pytest.mark.parametrize("shape", ["one-join", "chain-root"])
+def test_plan_result_before_arrival_detected(shape):
+    """Every plan node checks causality against its direct leaves.
+
+    The partner is identified as the node sees it — by the side its
+    leaf plays, not by its relation's label: the one-join plan puts the
+    B-labelled relation on the A side, and the chain's root joins a
+    child's synthetic tuples against a leaf.  B's last tuple arrives
+    far in the clock's future.
+    """
+    spec = WorkloadSpec(n_a=40, n_b=40, key_range=10, seed=3)
+    rel_a, rel_b = make_relation_pair(spec)
+    src_a = NetworkSource(rel_a, ConstantRate(2000.0), seed=11)
+    src_b = NetworkSource(rel_b, ConstantRate(2000.0), seed=22)
+    late_tid = rel_b.tuples[-1].tid
+    if shape == "one-join":
+        plan = join(
+            leaf(src_b), leaf(src_a), lambda: _ClairvoyantSHJ(SOURCE_A, late_tid),
+            label="root",
+        )
+    else:
+        rel_c, _ = make_relation_pair(WorkloadSpec(n_a=40, n_b=1, key_range=10, seed=4))
+        plan = join(
+            join(
+                leaf(src_a),
+                leaf(NetworkSource(rel_c, ConstantRate(2000.0), seed=33)),
+                SymmetricHashJoin,
+            ),
+            leaf(src_b),
+            lambda: _ClairvoyantSHJ(SOURCE_B, late_tid),
+            label="root",
+        )
+    checks = InvariantChecks(mode="collect")
+    run_plan(plan, checks=checks)
+    fired = {v.actor for v in checks.violations if v.check == "result-before-arrival"}
+    assert fired == {"root"}
 
 
 def test_merged_violations_tags_per_tenant():
