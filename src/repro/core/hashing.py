@@ -11,22 +11,30 @@ For flushing, buckets are combined into ``g`` groups of consecutive
 buckets (Section 3.3's parameter ``p``); extraction returns a whole
 group's tuples so HMJ can sort and flush them as one disk block.
 
-Storage is columnar: each (source, bucket) holds parallel scalar
-columns ``keys``/``tids`` (plain Python int lists — C-speed membership
-for the per-tuple path, bulk ``extend`` for the batch path) plus a
-payload reference list that only materialises once a non-``None``
-payload appears.  ``Tuple`` objects are boxed lazily at the
-user-facing boundaries (probe matches, flush extraction, bucket
-snapshots); the hot paths never touch one.
+Storage is a flat column arena (:class:`_Arena`): int64 ``keys``/``tids``
+arrays holding source A's buckets and then source B's, each bucket's
+tuples in insertion order, with an int64 per-bucket ``counts`` array
+and its exclusive-cumsum ``offsets``, so bucket ``b`` of a source is the
+slice ``keys[offsets[s]:offsets[s] + counts[s]]`` of its slot ``s``; a
+payload object array only exists once a non-``None`` payload appears.
+A table holds O(1) Python objects per source, whatever ``h`` is.  A
+batch segment is merged in with one vectorized pass at its buckets'
+ends (both sources at once); a flushed group leaves as one slice whose
+span is marked dead and dropped at the next merge.  Per-tuple inserts
+go to a small per-bucket list *tail* that follows the bucket's arena
+slice; the next batch, sub-split, or extraction or largest-bucket
+query that meets both folds it into the arena.  ``Tuple`` objects are
+boxed lazily at the user-facing boundaries (probe matches, flush
+extraction, bucket snapshots); the hot paths never touch one.
 
 :meth:`DualHashTable.probe_insert_batch` is the array-native core of
 the columnar data plane: one vectorized hash pass bucketizes a whole
 delivery batch, grouping and matching run on ``argsort``/``cumsum``
 segments — stored and intra-batch matches alike in one key-sorted join
-over the touched buckets and the batch — matches come back as
-emission-ordered ``(probe_row, build_tid)`` columns, and the summary
-table is updated with per-group delta arrays instead of ``add_one``
-per tuple.
+over the touched buckets' arena slices and the batch — matches come
+back as emission-ordered ``(probe_row, build_tid)`` columns, and the
+summary table is updated with per-group delta arrays instead of
+``add_one`` per tuple.
 """
 
 from __future__ import annotations
@@ -56,6 +64,11 @@ _HASH_MULTIPLIER2 = 2246822519
 #: paper selectivity) must not allocate.  Read-only by convention.
 _NO_MATCHES: tuple[Tuple, ...] = ()
 
+_EMPTY = np.empty(0, dtype=np.int64)
+
+#: The ``[keys, tids, payloads]`` of a slot with no tail.  Read-only.
+_NO_ENTRY: tuple = ((), (), None)
+
 
 @dataclass(slots=True)
 class BatchProbeResult:
@@ -66,24 +79,24 @@ class BatchProbeResult:
             (the probe CPU charge basis), int64, one entry per batch row.
         match_counts: Per-row number of matches emitted, int64.
         total_matches: ``match_counts.sum()``.
-        runs_a: ``(bucket, count)`` insert runs for source A, in bucket
-            order — per-bucket bookkeeping (XJoin's insert counts) reads
-            these instead of re-hashing.
-        runs_b: Same for source B.
+        buckets_a: Bucket of each inserted source-A row, ascending —
+            per-bucket bookkeeping (XJoin's insert counts) reads these
+            instead of re-hashing.
+        buckets_b: Same for source B.
         probe_rows: Batch-row index of each match's probing side, in
             exact per-tuple emission order (``None`` when the caller
             requested counts only — the ``keep_results=False`` fast path).
         build_tids: tid of each match's build (stored) side, aligned
             with ``probe_rows``.
-        build_payloads: Payload of each build side (``None`` when no
-            payloads exist anywhere in table or batch).
+        build_payloads: Payload of each build side (``None`` when
+            neither the batch nor its touched buckets hold a payload).
     """
 
     candidates: np.ndarray
     match_counts: np.ndarray
     total_matches: int
-    runs_a: list[tuple[int, int]]
-    runs_b: list[tuple[int, int]]
+    buckets_a: np.ndarray
+    buckets_b: np.ndarray
     probe_rows: np.ndarray | None = None
     build_tids: np.ndarray | None = None
     build_payloads: list | None = None
@@ -96,15 +109,231 @@ def _run_bounds(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     boundary[0] = True
     np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
-    ends = np.append(starts[1:], n)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = n
     return starts, ends
 
 
-def _gather(cols: list[list[int]], buckets: list[int], total: int) -> np.ndarray:
-    """Concatenate the int columns of ``buckets`` (``total`` entries)."""
-    return np.fromiter(
-        chain.from_iterable(map(cols.__getitem__, buckets)), np.int64, total
-    )
+def _tail_columns(entries: list[list]) -> tuple[list[int], list[int], list | None]:
+    """Concatenate tail ``[keys, tids, payloads]`` entries into lists."""
+    keys: list[int] = []
+    tids: list[int] = []
+    with_pays = False
+    for entry in entries:
+        keys += entry[0]
+        tids += entry[1]
+        with_pays = with_pays or entry[2] is not None
+    pays = None
+    if with_pays:
+        pays = list(chain.from_iterable(
+            repeat(None, len(e[0])) if e[2] is None else e[2] for e in entries
+        ))
+    return keys, tids, pays
+
+
+class _Arena:
+    """Both sources' stored tuples: a flat column arena plus a tail.
+
+    Slots are source-major: with ``S`` bucket slots per source (base
+    buckets, then sub-split extensions), source A's bucket ``b`` is
+    slot ``b`` and source B's is slot ``S + b``.  Slot ``i`` spans
+    ``offsets[i]:offsets[i + 1]`` of ``keys``/``tids`` (and ``pays``)
+    and holds ``counts[i]`` live entries: the whole span, or none once
+    its group was taken out.  Groups are taken whole, so the slot range
+    of one group is either all live or all dead, and each take leaves
+    one ``dead`` position range, dropped at the next merge.  ``tail``
+    maps a slot to the ``[keys, tids, payloads-or-None]`` lists of the
+    per-tuple inserts since the last fold; they follow the slot's arena
+    entries in insertion order.
+    """
+
+    __slots__ = ("keys", "tids", "pays", "counts", "offsets", "live", "dead", "tail")
+
+    def __init__(self, n_slots: int) -> None:
+        self.keys = self.tids = _EMPTY
+        self.pays: np.ndarray | None = None
+        self.counts = np.zeros(n_slots, dtype=np.int64)
+        self.offsets = np.zeros(n_slots + 1, dtype=np.int64)
+        self.live = 0
+        self.dead: list[tuple[int, int]] = []
+        self.tail: dict[int, list] = {}
+
+    # -- per-tuple access ---------------------------------------------------
+
+    def append(self, slot: int, key: int, tid: int, payload: object) -> None:
+        entry = self.tail.get(slot)
+        if entry is None:
+            self.tail[slot] = [[key], [tid], None if payload is None else [payload]]
+            return
+        entry[0].append(key)
+        entry[1].append(tid)
+        if entry[2] is not None:
+            entry[2].append(payload)
+        elif payload is not None:
+            # First payload in this tail: backfill Nones for the entries
+            # stored before it.
+            entry[2] = [None] * (len(entry[1]) - 1) + [payload]
+
+    def probe(self, key: int, slot: int, source: str) -> tuple[Sequence[Tuple], int]:
+        """Matches of ``key`` in ``slot`` (boxed as ``source``) and its size."""
+        entry = self.tail.get(slot)
+        c = int(self.counts[slot]) if self.live else 0
+        if c:
+            o = int(self.offsets[slot])
+            keys = self.keys[o:o + c].tolist()
+            if entry is not None:
+                keys += entry[0]
+        elif entry is not None:
+            keys = entry[0]
+        else:
+            return _NO_MATCHES, 0
+        # ``in`` over an int list is a C-speed scan; the boxing only
+        # runs when a match exists (rare at paper selectivity).
+        if key not in keys:
+            return _NO_MATCHES, len(keys)
+        _, tids, pays = self.bucket(slot) if c else entry
+        return [
+            Tuple(key, tids[i], source, None if pays is None else pays[i])
+            for i, k in enumerate(keys)
+            if k == key
+        ], len(keys)
+
+    def bucket(self, slot: int) -> tuple[list[int], list[int], list | None]:
+        """One slot's columns as lists, arena slice then tail; read-only
+        (they may be the tail's own lists)."""
+        c = int(self.counts[slot]) if self.live else 0
+        if not c:
+            return self.tail.get(slot, _NO_ENTRY)
+        o = int(self.offsets[slot])
+        keys = self.keys[o:o + c].tolist()
+        tids = self.tids[o:o + c].tolist()
+        pays = None if self.pays is None else self.pays[o:o + c].tolist()
+        entry = self.tail.get(slot)
+        if entry is not None:
+            if pays is None and entry[2] is not None:
+                pays = [None] * c
+            if pays is not None:
+                pays += [None] * len(entry[0]) if entry[2] is None else entry[2]
+            keys += entry[0]
+            tids += entry[1]
+        return keys, tids, pays
+
+    # -- array access ---------------------------------------------------------
+
+    def merge(
+        self, slots: np.ndarray, keys: np.ndarray, tids: np.ndarray, pays: np.ndarray | None
+    ) -> None:
+        """Merge rows, stably sorted by slot, in at their slots' ends.
+
+        ``np.insert`` at each slot's end offset: the arena keeps its
+        order, and each row lands after its slot's stored entries and
+        the earlier rows of its slot.
+        """
+        self.compact()
+        m = len(slots)
+        if self.live:
+            dest = self.offsets[slots + 1]
+            dest += np.arange(m)
+            old = np.ones(self.live + m, dtype=bool)
+            old[dest] = False
+
+            def place(stored, rows, dtype=np.int64) -> np.ndarray:
+                out = np.empty(len(old), dtype=dtype)
+                out[old] = stored  # a None column fills with None
+                out[dest] = rows
+                return out
+
+            self.keys, self.tids = place(self.keys, keys), place(self.tids, tids)
+            if pays is not None or self.pays is not None:
+                self.pays = place(self.pays, pays, object)
+        else:
+            self.keys, self.tids, self.pays = keys, tids, pays
+        self.counts += np.bincount(slots, minlength=len(self.counts))
+        np.cumsum(self.counts, out=self.offsets[1:])
+        self.live += m
+
+    def compact(self) -> None:
+        """Drop the dead position ranges that taken groups left behind."""
+        if not self.dead:
+            return
+        if self.live:
+            cuts = [0, *chain.from_iterable(sorted(self.dead)), len(self.keys)]
+            spans = list(zip(cuts[::2], cuts[1::2]))
+
+            def cut(col: np.ndarray) -> np.ndarray:
+                return np.concatenate([col[lo:hi] for lo, hi in spans])
+
+            self.keys, self.tids = cut(self.keys), cut(self.tids)
+            if self.pays is not None:
+                self.pays = cut(self.pays)
+        else:
+            self.keys = self.tids = _EMPTY
+            self.pays = None
+        self.dead = []
+        np.cumsum(self.counts, out=self.offsets[1:])
+
+    def fold(self) -> None:
+        """Move the per-tuple tail into the arena."""
+        if not self.tail:
+            return
+        slots = sorted(self.tail)
+        entries = [self.tail[s] for s in slots]
+        self.tail = {}
+        rows = np.repeat(np.asarray(slots, dtype=np.int64), [len(e[0]) for e in entries])
+        keys, tids, pays = _tail_columns(entries)
+        self.merge(
+            rows,
+            np.array(keys, dtype=np.int64),
+            np.array(tids, dtype=np.int64),
+            None if pays is None else np.fromiter(pays, dtype=object, count=len(pays)),
+        )
+
+    def slot_ids(self) -> np.ndarray:
+        """Fold and compact; then the slot of every arena entry."""
+        self.fold()
+        self.compact()
+        return np.repeat(np.arange(len(self.counts)), self.counts)
+
+    def relayout(self, slots: np.ndarray, n_slots: int) -> None:
+        """Move entry ``i`` of a :meth:`slot_ids` arena to ``slots[i]``.
+
+        A stable sort: entries sharing a new slot keep arena order.
+        """
+        order = np.argsort(slots, kind="stable")
+        self.keys = self.keys[order]
+        self.tids = self.tids[order]
+        if self.pays is not None:
+            self.pays = self.pays[order]
+        self.counts = np.bincount(slots, minlength=n_slots).astype(np.int64, copy=False)
+        self.offsets = np.zeros(n_slots + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=self.offsets[1:])
+
+    def take(self, ranges: list[tuple[int, int]]) -> tuple[Sequence, Sequence, list | None]:
+        """Remove and return the entries of one group's slot ``ranges``,
+        slot-then-insertion: arena slices, or lists when only the tail
+        holds the group."""
+        tail = self.tail
+        in_tail = [s for lo, hi in ranges for s in range(lo, hi) if s in tail] if tail else []
+        if in_tail:
+            if not self.live or not any(self.counts[lo:hi].any() for lo, hi in ranges):
+                return _tail_columns([tail.pop(s) for s in in_tail])
+            self.fold()  # arena and tail entries interleave per slot
+        for lo, hi in ranges:
+            n = int(self.counts[lo:hi].sum()) if self.live else 0
+            if n:
+                # A split group's base slots stay empty, so one range
+                # holds the whole group: one slice.
+                s = int(self.offsets[lo])
+                keys, tids = self.keys[s:s + n], self.tids[s:s + n]
+                pays = None if self.pays is None else self.pays[s:s + n].tolist()
+                self.dead.append((s, s + n))
+                self.counts[lo:hi] = 0
+                self.live -= n
+                if not self.live:
+                    self.compact()  # release the arrays
+                return keys, tids, pays
+        return _EMPTY, _EMPTY, None
 
 
 class DualHashTable:
@@ -126,32 +355,26 @@ class DualHashTable:
         # Consecutive buckets share a group; the last group may be
         # slightly larger when h is not divisible by g.
         self._group_size = n_buckets // n_groups
-        # Per (source, bucket) parallel scalar columns.
-        self._keys_a: list[list[int]] = [[] for _ in range(n_buckets)]
-        self._tids_a: list[list[int]] = [[] for _ in range(n_buckets)]
-        self._pays_a: list[list | None] = [None] * n_buckets
-        self._keys_b: list[list[int]] = [[] for _ in range(n_buckets)]
-        self._tids_b: list[list[int]] = [[] for _ in range(n_buckets)]
-        self._pays_b: list[list | None] = [None] * n_buckets
-        # bucket -> group, resolved once so the per-tuple path is a
-        # list index instead of a division + min; the array twin serves
-        # the batch path's bincount.
-        self._group_of: list[int] = [
-            min(bucket // self._group_size, n_groups - 1)
-            for bucket in range(n_buckets)
-        ]
-        self._group_arr = np.asarray(self._group_of, dtype=np.int64)
+        # Bucket slots per source: the base buckets, then any sub-split
+        # extension slots; source B's slots follow source A's.
+        self._slots = n_buckets
+        self._arena = _Arena(2 * n_buckets)
+        # slot -> group, for the batch path's bincount and for extension
+        # slots (base buckets resolve arithmetically).
+        self._group_arr = np.arange(n_buckets, dtype=np.int64)
+        self._group_arr //= self._group_size
+        np.minimum(self._group_arr, n_groups - 1, out=self._group_arr)
         self._summary = BucketSummaryTable(n_groups)
         # Hot-group sub-split state.  A split group's base buckets are
-        # routers: their tuples live in *extension* bucket slots
-        # appended past ``n_buckets``, chosen by a secondary hash, so
-        # every existing per-bucket code path (probe, insert, batch
-        # kernel, extraction) works on split groups unchanged once the
-        # bucket index is remapped.  All empty/None while nothing is
-        # split — the hot paths gate on a falsy dict (or on the
-        # per-bucket (extension start, factor) arrays being None).
+        # routers: their tuples live in *extension* slots appended past
+        # ``n_buckets`` (one contiguous range per group, ``factor`` per
+        # base bucket), chosen by a secondary hash, so every per-bucket
+        # code path (probe, insert, batch kernel, extraction) works on
+        # split groups unchanged once the bucket index is remapped.
+        # All empty/None while nothing is split — the hot paths gate on
+        # a falsy dict (or on the per-slot arrays being None).
         self._split_base: dict[int, tuple[int, int]] = {}
-        self._split_groups: dict[int, int] = {}
+        self._split_groups: dict[int, tuple[int, int]] = {}
         self._split_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._split_epoch = 0
 
@@ -227,19 +450,43 @@ class DualHashTable:
         buckets[mask] = starts[mask] + (h2 % factors).astype(np.int64)
 
     def _check_bucket(self, bucket: int) -> None:
-        if not 0 <= bucket < len(self._group_of):
+        if not 0 <= bucket < self._slots:
             raise ConfigurationError(
-                f"bucket {bucket} out of range [0, {len(self._group_of)})"
+                f"bucket {bucket} out of range [0, {self._slots})"
             )
+
+    def _check_group(self, group: int) -> None:
+        if not 0 <= group < self._n_groups:
+            raise ConfigurationError(
+                f"group {group} out of range [0, {self._n_groups})"
+            )
+
+    def _group_of(self, bucket: int) -> int:
+        group = bucket // self._group_size
+        if group < self._n_groups:
+            return group
+        # The last group's remainder buckets, or an extension slot.
+        return self._n_groups - 1 if bucket < self._n_buckets else int(self._group_arr[bucket])
 
     def group_of_bucket(self, bucket: int) -> int:
         """Group index a bucket (base or extension) belongs to."""
         self._check_bucket(bucket)
-        return self._group_of[bucket]
+        return self._group_of(bucket)
 
     def group_of_key(self, key: int) -> int:
         """Group index a key hashes into."""
         return self.group_of_bucket(self.bucket_of(key))
+
+    def _bucket_ranges(self, group: int, first: int = 0) -> list[tuple[int, int]]:
+        """The bucket ranges holding ``group``'s tuples, as slots from
+        ``first`` (a source's first slot) on."""
+        start = group * self._group_size
+        stop = self._n_buckets if group == self._n_groups - 1 else start + self._group_size
+        ranges = [(first + start, first + stop)]
+        if self._split_groups and group in self._split_groups:
+            ext_start, factor = self._split_groups[group]
+            ranges.append((first + ext_start, first + ext_start + factor * (stop - start)))
+        return ranges
 
     def buckets_in_group(self, group: int) -> Sequence[int]:
         """The bucket indices composing ``group``.
@@ -249,77 +496,34 @@ class DualHashTable:
         into (the base buckets stay listed — they are simply empty
         while the split is active).
         """
-        if not 0 <= group < self._n_groups:
-            raise ConfigurationError(
-                f"group {group} out of range [0, {self._n_groups})"
-            )
-        start = group * self._group_size
-        if group == self._n_groups - 1:
-            base = range(start, self._n_buckets)
-        else:
-            base = range(start, start + self._group_size)
-        if group not in self._split_groups:
-            return base
-        buckets = list(base)
-        for b in base:
-            entry = self._split_base.get(b)
-            if entry is not None:
-                ext_start, factor = entry
-                buckets.extend(range(ext_start, ext_start + factor))
-        return buckets
+        self._check_group(group)
+        ranges = self._bucket_ranges(group)
+        if len(ranges) == 1:
+            return range(*ranges[0])
+        return [b for lo, hi in ranges for b in range(lo, hi)]
 
-    def _columns(
-        self, source: str
-    ) -> tuple[list[list[int]], list[list[int]], list[list | None]]:
+    def _first_slot(self, source: str) -> int:
+        """Arena slot of ``source``'s bucket 0."""
         if source == SOURCE_A:
-            return self._keys_a, self._tids_a, self._pays_a
+            return 0
         if source == SOURCE_B:
-            return self._keys_b, self._tids_b, self._pays_b
+            return self._slots
         raise ConfigurationError(f"unknown source {source!r}")
 
-    def _append(
-        self,
-        keys: list[list[int]],
-        tids: list[list[int]],
-        pays: list[list | None],
-        bucket: int,
-        t: Tuple,
-    ) -> None:
-        key_col = keys[bucket]
-        key_col.append(t.key)
-        tids[bucket].append(t.tid)
-        pay_col = pays[bucket]
-        if pay_col is not None:
-            pay_col.append(t.payload)
-        elif t.payload is not None:
-            # First payload in this bucket: backfill Nones for the
-            # entries stored before it.
-            pay_col = [None] * (len(key_col) - 1)
-            pay_col.append(t.payload)
-            pays[bucket] = pay_col
-
+    @staticmethod
     def _materialise(
-        self,
-        source: str,
-        keys: list[int],
-        tids: list[int],
-        pays: list | None,
+        source: str, keys: list[int], tids: list[int], pays: list | None
     ) -> list[Tuple]:
         if pays is None:
-            return [
-                Tuple(key=k, tid=i, source=source) for k, i in zip(keys, tids)
-            ]
-        return [
-            Tuple(key=k, tid=i, source=source, payload=p)
-            for k, i, p in zip(keys, tids, pays)
-        ]
+            return list(map(Tuple, keys, tids, repeat(source)))
+        return list(map(Tuple, keys, tids, repeat(source), pays))
 
     def insert(self, t: Tuple) -> int:
         """Store ``t`` in its own source's bucket (Figure 3, Step 4)."""
-        keys, tids, pays = self._columns(t.source)
+        first = self._first_slot(t.source)
         bucket = self.bucket_of(t.key)
-        self._append(keys, tids, pays, bucket, t)
-        self._summary.add(t.source, self.group_of_bucket(bucket))
+        self._arena.append(first + bucket, t.key, t.tid, t.payload)
+        self._summary.add(t.source, self._group_of(bucket))
         return bucket
 
     def probe(self, t: Tuple) -> tuple[list[Tuple], int]:
@@ -330,48 +534,17 @@ class DualHashTable:
         is based on.
         """
         other = SOURCE_B if t.source == SOURCE_A else SOURCE_A
-        keys, tids, pays = self._columns(other)
-        bucket = self.bucket_of(t.key)
-        key = t.key
-        key_col = keys[bucket]
-        matches = self._probe_column(
-            key, key_col, tids[bucket], pays[bucket], other
-        )
-        return list(matches), len(key_col)
-
-    def _probe_column(
-        self,
-        key: int,
-        key_col: list[int],
-        tid_col: list[int],
-        pay_col: list | None,
-        opp_source: str,
-    ) -> Sequence[Tuple]:
-        # ``in`` over an int list is a C-speed scan; the boxing
-        # comprehension only runs when a match exists (rare at paper
-        # selectivity).
-        if not key_col or key not in key_col:
-            return _NO_MATCHES
-        if pay_col is None:
-            return [
-                Tuple(key=key, tid=tid_col[i], source=opp_source)
-                for i, k in enumerate(key_col)
-                if k == key
-            ]
-        return [
-            Tuple(key=key, tid=tid_col[i], source=opp_source, payload=pay_col[i])
-            for i, k in enumerate(key_col)
-            if k == key
-        ]
+        slot = self._first_slot(other) + self.bucket_of(t.key)
+        matches, candidates = self._arena.probe(t.key, slot, other)
+        return list(matches), candidates
 
     def probe_insert(self, t: Tuple) -> tuple[Sequence[Tuple], int, int]:
         """Fused probe + insert for the per-tuple hot path.
 
         Behaviourally identical to :meth:`probe` followed by
         :meth:`insert`, but the bucket hash is computed once, the
-        bucket/group resolution is a list lookup, the summary update
-        skips per-call validation, and an empty or matchless opposite
-        bucket costs no allocation at all.  Returns
+        summary update skips per-call validation, and an empty or
+        matchless opposite bucket costs no allocation at all.  Returns
         ``(matches, candidates, bucket)`` — the extra bucket index
         saves callers that key per-bucket bookkeeping (XJoin's insert
         counts) a second hash.
@@ -384,20 +557,17 @@ class DualHashTable:
                 start, factor = entry
                 bucket = start + ((key * _HASH_MULTIPLIER2) & _HASH_MASK) % factor
         if t.source == SOURCE_A:
-            own_keys, own_tids, own_pays = self._keys_a, self._tids_a, self._pays_a
-            opp_keys, opp_tids, opp_pays = self._keys_b, self._tids_b, self._pays_b
-            opp_source, is_a = SOURCE_B, True
+            own, opp, opp_source, is_a = bucket, bucket + self._slots, SOURCE_B, True
         else:
-            own_keys, own_tids, own_pays = self._keys_b, self._tids_b, self._pays_b
-            opp_keys, opp_tids, opp_pays = self._keys_a, self._tids_a, self._pays_a
-            opp_source, is_a = SOURCE_A, False
-        cand_keys = opp_keys[bucket]
-        matches = self._probe_column(
-            key, cand_keys, opp_tids[bucket], opp_pays[bucket], opp_source
-        )
-        self._append(own_keys, own_tids, own_pays, bucket, t)
-        self._summary.add_one(is_a, self._group_of[bucket])
-        return matches, len(cand_keys), bucket
+            own, opp, opp_source, is_a = bucket + self._slots, bucket, SOURCE_A, False
+        arena = self._arena
+        matches, candidates = arena.probe(key, opp, opp_source)
+        arena.append(own, key, t.tid, t.payload)
+        group = bucket // self._group_size
+        if group >= self._n_groups:
+            group = self._group_of(bucket)
+        self._summary.add_one(is_a, group)
+        return matches, candidates, bucket
 
     # -- the array-native batch kernel -----------------------------------
 
@@ -429,14 +599,16 @@ class DualHashTable:
         """
         n = len(keys)
         if n == 0:
-            empty = np.empty(0, dtype=np.int64)
             return BatchProbeResult(
-                candidates=empty,
-                match_counts=empty,
+                candidates=_EMPTY,
+                match_counts=_EMPTY,
                 total_matches=0,
-                runs_a=[],
-                runs_b=[],
+                buckets_a=_EMPTY,
+                buckets_b=_EMPTY,
             )
+        arena = self._arena
+        arena.fold()
+        n_slots = self._slots
         # Group rows by bucket, stably: within a bucket run, sorted
         # position order IS arrival order.
         order_b = np.argsort(buckets, kind="stable")
@@ -444,7 +616,7 @@ class DualHashTable:
         ia_sorted = is_a[order_b]
         starts, ends = _run_bounds(sb)
         run_lens = ends - starts
-        run_buckets = sb[starts].tolist()
+        run_buckets = sb[starts]
 
         # Prior same-bucket rows of each source (exclusive counts).
         ia_int = ia_sorted.astype(np.int64)
@@ -453,16 +625,12 @@ class DualHashTable:
         prior_a = exc_a - np.repeat(exc_a[starts], run_lens)
         prior_b = exc_b - np.repeat(exc_b[starts], run_lens)
 
-        keys_a_cols, keys_b_cols = self._keys_a, self._keys_b
+        # The touched buckets' slots: source A's, then source B's.
         n_runs = len(run_buckets)
-        base_a_run = np.fromiter(
-            map(len, map(keys_a_cols.__getitem__, run_buckets)), np.int64, n_runs
-        )
-        base_b_run = np.fromiter(
-            map(len, map(keys_b_cols.__getitem__, run_buckets)), np.int64, n_runs
-        )
-        base_a = np.repeat(base_a_run, run_lens)
-        base_b = np.repeat(base_b_run, run_lens)
+        run_slots = np.concatenate((run_buckets, run_buckets + n_slots))
+        run_counts = arena.counts[run_slots]
+        base_a = np.repeat(run_counts[:n_runs], run_lens)
+        base_b = np.repeat(run_counts[n_runs:], run_lens)
 
         # Opposite-bucket population each row scans = candidates.
         cand_sorted = np.where(ia_sorted, base_b + prior_b, base_a + prior_a)
@@ -477,18 +645,18 @@ class DualHashTable:
         # are the opposite-source entries before it in its key run.
         # The stored part is skipped when the touched buckets are empty
         # — the mega-batch case the kernel benchmark measures.
-        stored_a = int(base_a_run.sum())
-        stored_b = int(base_b_run.sum())
-        n_stored = stored_a + stored_b
+        stored_a = int(run_counts[:n_runs].sum())
+        n_stored = int(run_counts.sum())
         all_keys, all_isa = keys, is_a
         if n_stored:
-            all_keys = np.concatenate((
-                _gather(keys_a_cols, run_buckets, stored_a),
-                _gather(keys_b_cols, run_buckets, stored_b),
-                keys,
-            ))
+            # The touched slots' arena positions, concatenated.
+            shift = arena.offsets[run_slots] - (np.cumsum(run_counts) - run_counts)
+            at = np.repeat(shift, run_counts) + np.arange(n_stored)
+            all_keys = np.concatenate((arena.keys[at], keys))
             all_isa = np.concatenate((
-                np.ones(stored_a, dtype=bool), np.zeros(stored_b, dtype=bool), is_a
+                np.ones(stored_a, dtype=bool),
+                np.zeros(n_stored - stored_a, dtype=bool),
+                is_a,
             ))
         order_k = np.argsort(all_keys, kind="stable")
         sk = all_keys[order_k]
@@ -509,6 +677,8 @@ class DualHashTable:
         match_counts = match_counts[n_stored:]
         total_matches = int(cnt.sum())
 
+        # ``fromiter`` keeps nested payloads (tuples, lists) as scalars.
+        pays = None if payloads is None else np.fromiter(payloads, dtype=object, count=n)
         probe_rows: np.ndarray | None = None
         build_tids: np.ndarray | None = None
         build_pays: list | None = None
@@ -540,28 +710,26 @@ class DualHashTable:
             build = build[sel]
             all_tids = tids
             if n_stored:
-                all_tids = np.concatenate((
-                    _gather(self._tids_a, run_buckets, stored_a),
-                    _gather(self._tids_b, run_buckets, stored_b),
-                    tids,
-                ))
+                all_tids = np.concatenate((arena.tids[at], tids))
             build_tids = all_tids[build]
-            if payloads is not None or self._any_payloads():
-                all_pays = list(chain(
-                    self._gather_payloads(SOURCE_A, run_buckets),
-                    self._gather_payloads(SOURCE_B, run_buckets),
-                    payloads if payloads is not None else repeat(None, n),
-                ))
-                build_pays = [all_pays[i] for i in build.tolist()]
+            if pays is not None or (n_stored and arena.pays is not None):
+                all_pays = np.empty(n_stored + n, dtype=object)
+                if n_stored and arena.pays is not None:
+                    all_pays[:n_stored] = arena.pays[at]
+                if pays is not None:
+                    all_pays[n_stored:] = pays
+                build_pays = all_pays[build].tolist()
 
-        # Bulk inserts: per-source, per-bucket-run column extends.
-        runs_a = self._bulk_insert(
-            order_b[ia_sorted], sb[ia_sorted], keys, tids, payloads,
-            self._keys_a, self._tids_a, self._pays_a,
-        )
-        runs_b = self._bulk_insert(
-            order_b[~ia_sorted], sb[~ia_sorted], keys, tids, payloads,
-            self._keys_b, self._tids_b, self._pays_b,
+        # Inserts: one merge at the rows' slot ends, source A's rows
+        # (by bucket) before source B's.
+        buckets_a = sb[ia_sorted]
+        buckets_b = sb[~ia_sorted]
+        rows = np.concatenate((order_b[ia_sorted], order_b[~ia_sorted]))
+        arena.merge(
+            np.concatenate((buckets_a, buckets_b + n_slots)),
+            keys[rows],
+            tids[rows],
+            None if pays is None else pays[rows],
         )
 
         # Summary: per-group delta arrays in two bincounts.  The
@@ -569,79 +737,20 @@ class DualHashTable:
         # lowest-index argmax, same as the running update would.
         garr = self._group_arr
         ng = self._n_groups
-        deltas_a = np.bincount(garr[buckets[is_a]], minlength=ng)
-        deltas_b = np.bincount(garr[buckets[~is_a]], minlength=ng)
+        deltas_a = np.bincount(garr[buckets_a], minlength=ng)
+        deltas_b = np.bincount(garr[buckets_b], minlength=ng)
         self._summary.add_delta_arrays(deltas_a, deltas_b)
 
         return BatchProbeResult(
             candidates=candidates,
             match_counts=match_counts,
             total_matches=total_matches,
-            runs_a=runs_a,
-            runs_b=runs_b,
+            buckets_a=buckets_a,
+            buckets_b=buckets_b,
             probe_rows=probe_rows,
             build_tids=build_tids,
             build_payloads=build_pays,
         )
-
-    def _any_payloads(self) -> bool:
-        return any(c is not None for c in self._pays_a) or any(
-            c is not None for c in self._pays_b
-        )
-
-    def _gather_payloads(self, source: str, buckets: list[int]) -> chain:
-        """The payloads of ``buckets``, in :func:`_gather` order."""
-        keys_cols, _, pays_cols = self._columns(source)
-        return chain.from_iterable(
-            repeat(None, len(keys_cols[b])) if pays_cols[b] is None else pays_cols[b]
-            for b in buckets
-        )
-
-    @staticmethod
-    def _bulk_insert(
-        rows_sorted: np.ndarray,
-        buckets_sorted: np.ndarray,
-        keys: np.ndarray,
-        tids: np.ndarray,
-        payloads: list | None,
-        keys_cols: list[list[int]],
-        tids_cols: list[list[int]],
-        pays_cols: list[list | None],
-    ) -> list[tuple[int, int]]:
-        """Extend one source's bucket columns with its batch rows."""
-        if not len(rows_sorted):
-            return []
-        keys_l = keys[rows_sorted].tolist()
-        tids_l = tids[rows_sorted].tolist()
-        pays_l = (
-            None
-            if payloads is None
-            else [payloads[r] for r in rows_sorted.tolist()]
-        )
-        starts, ends = _run_bounds(buckets_sorted)
-        starts_l = starts.tolist()
-        ends_l = ends.tolist()
-        run_buckets = buckets_sorted[starts].tolist()
-        runs: list[tuple[int, int]] = []
-        for j, b in enumerate(run_buckets):
-            s, e = starts_l[j], ends_l[j]
-            key_col = keys_cols[b]
-            prior = len(key_col)
-            key_col.extend(keys_l[s:e])
-            tids_cols[b].extend(tids_l[s:e])
-            pay_col = pays_cols[b]
-            if pays_l is not None:
-                seg = pays_l[s:e]
-                if pay_col is not None:
-                    pay_col.extend(seg)
-                elif any(p is not None for p in seg):
-                    pay_col = [None] * prior
-                    pay_col.extend(seg)
-                    pays_cols[b] = pay_col
-            elif pay_col is not None:
-                pay_col.extend([None] * (e - s))
-            runs.append((b, e - s))
-        return runs
 
     # -- hot-group sub-split ----------------------------------------------
 
@@ -657,29 +766,17 @@ class DualHashTable:
 
     def is_split(self, group: int) -> bool:
         """Whether ``group`` currently has an active sub-split."""
-        if not 0 <= group < self._n_groups:
-            raise ConfigurationError(
-                f"group {group} out of range [0, {self._n_groups})"
-            )
+        self._check_group(group)
         return group in self._split_groups
 
     def split_factor(self, group: int) -> int:
         """Sub-buckets per base bucket for ``group`` (1 when unsplit)."""
-        if not 0 <= group < self._n_groups:
-            raise ConfigurationError(
-                f"group {group} out of range [0, {self._n_groups})"
-            )
-        return self._split_groups.get(group, 1)
+        self._check_group(group)
+        return self._split_groups.get(group, (0, 1))[1]
 
     def split_groups(self) -> list[int]:
         """The currently split groups, ascending."""
         return sorted(self._split_groups)
-
-    def _base_buckets(self, group: int) -> range:
-        start = group * self._group_size
-        if group == self._n_groups - 1:
-            return range(start, self._n_buckets)
-        return range(start, start + self._group_size)
 
     def subsplit_group(self, group: int, factor: int) -> int:
         """Re-bucket a hot group in place: ``factor`` sub-buckets each.
@@ -687,7 +784,7 @@ class DualHashTable:
         Every base bucket of ``group`` gets ``factor`` extension slots
         (on both sources, in lockstep) and its resident tuples are
         scattered into them by the secondary hash — one vectorized
-        pass per bucket, reusing the :meth:`subhash_batch` kernel.
+        re-slotting pass, reusing the :meth:`subhash_batch` kernel.
         Equal keys share a sub-bucket and keep their insertion order,
         so probe *matches* (and their emission order) are exactly what
         the unsplit table would produce; only the candidate scan
@@ -695,34 +792,29 @@ class DualHashTable:
         (tuples never change group).  Returns the number of tuples
         moved (both sources).
         """
-        if not 0 <= group < self._n_groups:
-            raise ConfigurationError(
-                f"group {group} out of range [0, {self._n_groups})"
-            )
+        self._check_group(group)
         if factor < 2:
             raise ConfigurationError(f"split factor must be >= 2, got {factor}")
         if group in self._split_groups:
             raise ConfigurationError(f"group {group} is already split")
-        moved = 0
-        for b in self._base_buckets(group):
-            ext_start = len(self._group_of)
-            self._group_of.extend([group] * factor)
-            for int_cols in (self._keys_a, self._tids_a, self._keys_b, self._tids_b):
-                int_cols.extend([] for _ in range(factor))
-            self._pays_a.extend([None] * factor)
-            self._pays_b.extend([None] * factor)
-            for keys_cols, tids_cols, pays_cols in (
-                (self._keys_a, self._tids_a, self._pays_a),
-                (self._keys_b, self._tids_b, self._pays_b),
-            ):
-                moved += self._scatter_bucket(
-                    keys_cols, tids_cols, pays_cols, b, ext_start, factor
-                )
-            self._split_base[b] = (ext_start, factor)
-        self._split_groups[group] = factor
+        base = range(*self._bucket_ranges(group)[0])
+        ext_start = self._slots
+        buckets, is_b = self._arena_buckets()
+        rows = np.flatnonzero((buckets >= base.start) & (buckets < base.stop))
+        buckets[rows] = (
+            ext_start
+            + (buckets[rows] - base.start) * factor
+            + self.subhash_batch(self._arena.keys[rows], factor)
+        )
+        self._relayout(buckets, is_b, ext_start + factor * len(base))
+        self._group_arr = np.concatenate(
+            (self._group_arr, np.full(factor * len(base), group, dtype=np.int64))
+        )
+        for i, b in enumerate(base):
+            self._split_base[b] = (ext_start + i * factor, factor)
+        self._split_groups[group] = (ext_start, factor)
         self._rebuild_split_arrays()
-        self._split_epoch += 1
-        return moved
+        return len(rows)
 
     def merge_group(self, group: int) -> int:
         """Undo :meth:`subsplit_group`: gather extensions back in place.
@@ -734,123 +826,58 @@ class DualHashTable:
         """
         if group not in self._split_groups:
             raise ConfigurationError(f"group {group} is not split")
-        moved = 0
-        for b in self._base_buckets(group):
-            entry = self._split_base.pop(b, None)
-            if entry is None:
-                continue
-            ext_start, factor = entry
-            for keys_cols, tids_cols, pays_cols in (
-                (self._keys_a, self._tids_a, self._pays_a),
-                (self._keys_b, self._tids_b, self._pays_b),
-            ):
-                moved += self._gather_bucket(
-                    keys_cols, tids_cols, pays_cols, b, ext_start, factor
-                )
-        del self._split_groups[group]
-        self._trim_extensions()
+        ext_start, factor = self._split_groups.pop(group)
+        base = range(*self._bucket_ranges(group)[0])
+        for b in base:
+            del self._split_base[b]
+        buckets, is_b = self._arena_buckets()
+        rows = np.flatnonzero(
+            (buckets >= ext_start) & (buckets < ext_start + factor * len(base))
+        )
+        buckets[rows] = base.start + (buckets[rows] - ext_start) // factor
+        # Drop trailing extension slots no remaining split references.
+        n_slots = max(
+            [self._n_buckets] + [self._bucket_ranges(g)[1][1] for g in self._split_groups]
+        )
+        self._relayout(buckets, is_b, n_slots)
+        self._group_arr = self._group_arr[:n_slots]
         self._rebuild_split_arrays()
-        self._split_epoch += 1
-        return moved
+        return len(rows)
 
-    def _scatter_bucket(
-        self,
-        keys_cols: list[list[int]],
-        tids_cols: list[list[int]],
-        pays_cols: list[list | None],
-        bucket: int,
-        ext_start: int,
-        factor: int,
-    ) -> int:
-        """Move one bucket's columns into its extension slots."""
-        key_col = keys_cols[bucket]
-        if not key_col:
-            return 0
-        arr = np.asarray(key_col, dtype=np.int64)
-        sub = self.subhash_batch(arr, factor)
-        order = np.argsort(sub, kind="stable")
-        sub_sorted = sub[order]
-        starts, ends = _run_bounds(sub_sorted)
-        tid_col = tids_cols[bucket]
-        pay_col = pays_cols[bucket]
-        order_l = order.tolist()
-        run_subs = sub_sorted[starts].tolist()
-        for s, e, sb in zip(starts.tolist(), ends.tolist(), run_subs):
-            rows = order_l[s:e]
-            dest = ext_start + sb
-            keys_cols[dest] = [key_col[i] for i in rows]
-            tids_cols[dest] = [tid_col[i] for i in rows]
-            if pay_col is not None:
-                pays_cols[dest] = [pay_col[i] for i in rows]
-        moved = len(key_col)
-        keys_cols[bucket] = []
-        tids_cols[bucket] = []
-        pays_cols[bucket] = None
-        return moved
+    def _arena_buckets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket and is-source-B flag of every (folded) arena entry."""
+        slots = self._arena.slot_ids()
+        is_b = slots >= self._slots
+        return slots - self._slots * is_b, is_b
 
-    @staticmethod
-    def _gather_bucket(
-        keys_cols: list[list[int]],
-        tids_cols: list[list[int]],
-        pays_cols: list[list | None],
-        bucket: int,
-        ext_start: int,
-        factor: int,
-    ) -> int:
-        """Concatenate extension slots back into their base bucket."""
-        merged_keys: list[int] = []
-        merged_tids: list[int] = []
-        merged_pays: list | None = None
-        for s in range(ext_start, ext_start + factor):
-            seg_keys = keys_cols[s]
-            if seg_keys:
-                seg_pays = pays_cols[s]
-                if seg_pays is not None and merged_pays is None:
-                    merged_pays = [None] * len(merged_keys)
-                if merged_pays is not None:
-                    merged_pays.extend(
-                        seg_pays
-                        if seg_pays is not None
-                        else [None] * len(seg_keys)
-                    )
-                merged_keys.extend(seg_keys)
-                merged_tids.extend(tids_cols[s])
-            keys_cols[s] = []
-            tids_cols[s] = []
-            pays_cols[s] = None
-        keys_cols[bucket] = merged_keys
-        tids_cols[bucket] = merged_tids
-        pays_cols[bucket] = merged_pays
-        return len(merged_keys)
-
-    def _trim_extensions(self) -> None:
-        """Drop trailing extension slots no active split references."""
-        limit = self._n_buckets
-        for ext_start, factor in self._split_base.values():
-            limit = max(limit, ext_start + factor)
-        if len(self._group_of) <= limit:
-            return
-        del self._group_of[limit:]
-        for int_cols in (self._keys_a, self._tids_a, self._keys_b, self._tids_b):
-            del int_cols[limit:]
-        del self._pays_a[limit:]
-        del self._pays_b[limit:]
+    def _relayout(self, buckets: np.ndarray, is_b: np.ndarray, n_slots: int) -> None:
+        """Re-slot the arena for ``n_slots`` bucket slots per source."""
+        self._arena.relayout(buckets + n_slots * is_b, 2 * n_slots)
+        self._slots = n_slots
 
     def _rebuild_split_arrays(self) -> None:
-        """Refresh the vectorized twins after a split/merge/trim."""
-        self._group_arr = np.asarray(self._group_of, dtype=np.int64)
+        """Refresh the vectorized routing twins and bump the epoch."""
+        self._split_epoch += 1
         if not self._split_base:
             self._split_arrays = None
             return
-        size = len(self._group_of)
-        base = np.full(size, -1, dtype=np.int64)
-        fac = np.ones(size, dtype=np.int64)
+        base = np.full(self._slots, -1, dtype=np.int64)
+        fac = np.ones(self._slots, dtype=np.int64)
         for b, (ext_start, factor) in self._split_base.items():
             base[b] = ext_start
             fac[b] = factor
         self._split_arrays = (base, fac)
 
     # -- extraction and inspection ----------------------------------------
+
+    def _take(self, source: str, group: int) -> tuple[Sequence, Sequence, list | None]:
+        """Remove one source's ``group``: keys, tids and payloads."""
+        first = self._first_slot(source)
+        self._check_group(group)
+        keys, tids, pays = self._arena.take(self._bucket_ranges(group, first))
+        if len(keys):
+            self._summary.remove(source, group, len(keys))
+        return keys, tids, pays
 
     def extract_group(self, source: str, group: int) -> list[Tuple]:
         """Remove and return every tuple of ``source`` in ``group``.
@@ -860,55 +887,20 @@ class DualHashTable:
         the memory/disk boundary, in bucket-then-insertion order —
         the order the tuple-list storage always produced.
         """
-        keys_cols, tids_cols, pays_cols = self._columns(source)
-        extracted: list[Tuple] = []
-        for bucket in self.buckets_in_group(group):
-            key_col = keys_cols[bucket]
-            if not key_col:
-                continue
-            extracted.extend(
-                self._materialise(
-                    source, key_col, tids_cols[bucket], pays_cols[bucket]
-                )
-            )
-            keys_cols[bucket] = []
-            tids_cols[bucket] = []
-            pays_cols[bucket] = None
-        if extracted:
-            self._summary.remove(source, group, len(extracted))
-        return extracted
+        keys, tids, pays = self._take(source, group)
+        if isinstance(keys, np.ndarray):
+            keys, tids = keys.tolist(), tids.tolist()
+        return self._materialise(source, keys, tids, pays)
 
     def extract_group_columns(self, source: str, group: int) -> "RelationColumns":
         """Columnar :meth:`extract_group`: remove a group without boxing.
 
-        Same bucket-then-insertion order, same column clearing, same
-        single summary update — but the extracted tuples leave as
-        contiguous key/tid arrays (plus a payload list only when some
-        payload is non-``None``), ready for the columnar flush path's
-        ``lexsort``.
+        Same bucket-then-insertion order and single summary update, but
+        the extracted tuples leave as contiguous key/tid arrays — one
+        slice of the arena — plus a payload list only once payloads
+        exist, ready for the columnar flush path's ``lexsort``.
         """
-        keys_cols, tids_cols, pays_cols = self._columns(source)
-        keys: list[int] = []
-        tids: list[int] = []
-        pays: list | None = None
-        for bucket in self.buckets_in_group(group):
-            key_col = keys_cols[bucket]
-            if not key_col:
-                continue
-            pay_col = pays_cols[bucket]
-            if pay_col is not None and pays is None:
-                pays = [None] * len(keys)
-            if pays is not None:
-                pays.extend(
-                    pay_col if pay_col is not None else [None] * len(key_col)
-                )
-            keys.extend(key_col)
-            tids.extend(tids_cols[bucket])
-            keys_cols[bucket] = []
-            tids_cols[bucket] = []
-            pays_cols[bucket] = None
-        if keys:
-            self._summary.remove(source, group, len(keys))
+        keys, tids, pays = self._take(source, group)
         return RelationColumns(
             keys=np.asarray(keys, dtype=np.int64),
             tids=np.asarray(tids, dtype=np.int64),
@@ -921,51 +913,52 @@ class DualHashTable:
 
         The count-and-release counterpart of :meth:`extract_group` for
         callers that do not need the tuples (end-of-input accounting
-        when nothing was ever spilled): the columns are cleared and the
-        summary updated, but no ``Tuple`` is materialised.  Returns the
-        number of tuples dropped.
+        when nothing was ever spilled): the group's span is marked dead
+        and the summary updated, but no ``Tuple`` is materialised.
+        Returns the number of tuples dropped.
         """
-        keys_cols, tids_cols, pays_cols = self._columns(source)
-        dropped = 0
-        for bucket in self.buckets_in_group(group):
-            key_col = keys_cols[bucket]
-            if not key_col:
-                continue
-            dropped += len(key_col)
-            keys_cols[bucket] = []
-            tids_cols[bucket] = []
-            pays_cols[bucket] = None
-        if dropped:
-            self._summary.remove(source, group, dropped)
-        return dropped
+        return len(self._take(source, group)[0])
 
     def bucket_size(self, source: str, bucket: int) -> int:
         """Population of one bucket (base or extension)."""
-        keys_cols, _, _ = self._columns(source)
+        slot = self._first_slot(source) + bucket
         self._check_bucket(bucket)
-        return len(keys_cols[bucket])
+        arena = self._arena
+        entry = arena.tail.get(slot)
+        held = int(arena.counts[slot]) if arena.live else 0
+        return held + (0 if entry is None else len(entry[0]))
 
     def bucket_contents(self, source: str, bucket: int) -> list[Tuple]:
         """One bucket's tuples, boxed (XJoin's stage 2 snapshots these)."""
-        keys_cols, tids_cols, pays_cols = self._columns(source)
+        slot = self._first_slot(source) + bucket
         self._check_bucket(bucket)
-        return self._materialise(
-            source, keys_cols[bucket], tids_cols[bucket], pays_cols[bucket]
-        )
+        return self._materialise(source, *self._arena.bucket(slot))
 
-    def largest_bucket(self) -> tuple[str, int]:
+    def largest_bucket(self, source: str | None = None) -> tuple[str, int]:
         """The (source, bucket) pair with the most tuples.
 
         XJoin's flushing policy: "the largest hash bucket among all A
         and B buckets is flushed into disk".  Ties break to source A,
-        then to the lowest bucket index.
+        then to the lowest bucket index.  With ``source``, only that
+        source's buckets compete.
         """
-        best_source, best_bucket, best_size = SOURCE_A, 0, -1
-        for source, keys_cols in ((SOURCE_A, self._keys_a), (SOURCE_B, self._keys_b)):
-            for bucket, key_col in enumerate(keys_cols):
-                if len(key_col) > best_size:
-                    best_source, best_bucket, best_size = source, bucket, len(key_col)
-        return best_source, best_bucket
+        n_slots = self._slots
+        lo = 0 if source is None else self._first_slot(source)
+        hi = 2 * n_slots if source is None else lo + n_slots
+        # Source A's slots precede source B's, so the lowest largest slot
+        # is the tie-break the policy wants.
+        arena = self._arena
+        if arena.live:
+            arena.fold()  # then the arena counts are the whole populations
+            slot = lo + int(np.argmax(arena.counts[lo:hi]))
+        else:
+            # A per-tuple table holds everything in its tail: scan that.
+            slot, best = lo, 0
+            for at, entry in arena.tail.items():
+                n = len(entry[0])
+                if lo <= at < hi and (n > best or (n == best and at < slot)):
+                    slot, best = at, n
+        return (SOURCE_A, slot) if slot < n_slots else (SOURCE_B, slot - n_slots)
 
     def total_tuples(self) -> int:
         """All tuples currently held, both sources."""

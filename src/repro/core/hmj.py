@@ -102,17 +102,17 @@ class HashMergeJoin(StreamingJoinOperator):
         pinned determinism triples are unaffected.
         """
         self.charge_tuple()
-        memory = self._memory
-        assert memory is not None and self._table is not None
+        memory = self._bound(self._memory)
+        table = self._bound(self._table)
         while not memory.has_room(1):
             self._flush_victims()
-        matches, candidates, _ = self._table.probe_insert(t)
+        matches, candidates, _ = table.probe_insert(t)
         self.charge_probe(candidates)
         if matches:
             for match in matches:
                 self.emit(t, match, self.PHASE_HASHING)
         memory.allocate(1)
-        imbalance = self._table.summary.imbalance()
+        imbalance = table.summary.imbalance()
         if imbalance > self.peak_imbalance:
             self.peak_imbalance = imbalance
 
@@ -130,14 +130,11 @@ class HashMergeJoin(StreamingJoinOperator):
         if type(self).on_tuple is not HashMergeJoin.on_tuple:
             super().on_column_batch(batch)
             return
-        memory = self._memory
-        table = self._table
-        assert memory is not None and table is not None
         run_columnar_batch(
             self,
             batch,
-            table=table,
-            memory=memory,
+            table=self.table,
+            memory=self.memory,
             flush=self._flush_victims,
             phase=self.PHASE_HASHING,
         )

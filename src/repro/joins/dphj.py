@@ -53,12 +53,8 @@ class DoublePipelinedHashJoin(XJoin):
         """
         summary = self.table.summary
         source = SOURCE_A if summary.total_a >= summary.total_b else SOURCE_B
-        best_bucket, best_size = 0, -1
-        for bucket in range(self._n_buckets):
-            size = self.table.bucket_size(source, bucket)
-            if size > best_size:
-                best_bucket, best_size = bucket, size
-        if best_size <= 0:
+        _, best_bucket = self.table.largest_bucket(source)
+        if not self.table.bucket_size(source, best_bucket):
             # The loaded source has nothing? Fall back to global largest.
             super()._flush_largest_bucket()
             return

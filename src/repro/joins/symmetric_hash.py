@@ -47,8 +47,7 @@ class SymmetricHashJoin(StreamingJoinOperator):
     @property
     def table(self) -> DualHashTable:
         """The in-memory dual hash table."""
-        assert self._table is not None
-        return self._table
+        return self._bound(self._table)
 
     def on_tuple(self, t: Tuple) -> None:
         self.charge_tuple()

@@ -154,9 +154,6 @@ class XJoin(StreamingJoinOperator):
         if type(self).on_tuple is not XJoin.on_tuple:
             super().on_column_batch(batch)
             return
-        memory = self._memory
-        table = self._table
-        assert memory is not None and table is not None
         ats = self._ats
         insert_counts = self._insert_counts
         tids = batch.tids
@@ -183,16 +180,16 @@ class XJoin(StreamingJoinOperator):
                             rt[mask].tolist(),
                         )
                     )
-            for runs, src in ((plan.runs_a, SOURCE_A), (plan.runs_b, SOURCE_B)):
-                for bucket, count in runs:
+            for buckets, src in ((plan.buckets_a, SOURCE_A), (plan.buckets_b, SOURCE_B)):
+                for bucket in buckets.tolist():
                     key = (src, bucket)
-                    insert_counts[key] = insert_counts.get(key, 0) + count
+                    insert_counts[key] = insert_counts.get(key, 0) + 1
 
         run_columnar_batch(
             self,
             batch,
-            table=table,
-            memory=memory,
+            table=self.table,
+            memory=self.memory,
             flush=self._flush_largest_bucket,
             phase=self.PHASE_STAGE1,
             want_row_times=True,
@@ -513,11 +510,7 @@ class XJoinStaticMemory(XJoin):
 
     def _flush_largest_bucket_of(self, source: str) -> None:
         """Flush the overflowing side's largest bucket, unsorted."""
-        best_bucket, best_size = 0, -1
-        for bucket in range(self._n_buckets):
-            size = self.table.bucket_size(source, bucket)
-            if size > best_size:
-                best_bucket, best_size = bucket, size
+        _, best_bucket = self.table.largest_bucket(source)
         tuples = self.table.extract_group(source, best_bucket)
         if not tuples:
             raise ConfigurationError(

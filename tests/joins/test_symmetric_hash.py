@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import assert_matches_oracle, drive, interleave, keys_relation, make_runtime
-from repro.errors import MemoryBudgetError
+from repro.errors import MemoryBudgetError, ProtocolError
 from repro.joins.symmetric_hash import SymmetricHashJoin
 from repro.sim.budget import WorkBudget
 from repro.storage.tuples import SOURCE_A, SOURCE_B
@@ -13,6 +13,11 @@ def test_matches_oracle(small_relations):
     rel_a, rel_b = small_relations
     runtime = assert_matches_oracle(SymmetricHashJoin(), rel_a, rel_b)
     assert runtime.disk.io_count == 0
+
+
+def test_unbound_table_raises_protocol_error():
+    with pytest.raises(ProtocolError):
+        SymmetricHashJoin().table
 
 
 def test_results_stream_immediately(small_relations):
