@@ -132,7 +132,7 @@ class _SegmentHook(Protocol):  # pragma: no cover - typing only
         lo: int,
         hi: int,
         plan: "BatchProbeResult",
-        row_times: list[float] | None,
+        row_times: list[float],
     ) -> None: ...
 
 
@@ -145,14 +145,14 @@ def _clock_walk(
     compare_cost: float,
     result_cost: float,
     skip_first: bool,
-    want_row_times: bool,
-) -> tuple[list[float], list[float] | None, float]:
+    row_times: list[float] | None,
+) -> tuple[list[float], float]:
     """The sequential scalar clock recurrence over one segment.
 
     Per row: advance to the arrival instant, charge the per-tuple
-    cost, (optionally record the row's post-charge instant — XJoin's
-    ATS), charge the probe comparisons, then charge and timestamp each
-    emitted result.  ``skip_first`` marks a segment whose first row's
+    cost, (optionally append the row's post-charge instant — XJoin's
+    ATS — to ``row_times``), charge the probe comparisons, then charge
+    and timestamp each emitted result.  ``skip_first`` marks a segment whose first row's
     arrival + tuple cost were already charged at the flush boundary.
 
     This loop is intentionally NOT vectorized: the identical
@@ -161,7 +161,6 @@ def _clock_walk(
     """
     res_times: list[float] = []
     res_append = res_times.append
-    row_times: list[float] | None = [] if want_row_times else None
     row_append = row_times.append if row_times is not None else None
     for at, c, m in zip(ats, cands, mcounts):
         if skip_first:
@@ -177,7 +176,7 @@ def _clock_walk(
         for _ in range(m):
             now += result_cost
             res_append(now)
-    return res_times, row_times, now
+    return res_times, now
 
 
 def _segment_results(
@@ -213,7 +212,6 @@ def run_columnar_batch(
     memory: "MemoryPool",
     flush: Callable[[], None],
     phase: str,
-    want_row_times: bool = False,
     on_segment: "_SegmentHook | None" = None,
 ) -> None:
     """Drive one hashing-phase delivery batch through the columnar path.
@@ -222,7 +220,8 @@ def run_columnar_batch(
     ``XJoin.on_column_batch``: both operators' hashing phases are the
     same probe/insert/flush loop up to the flush policy (``flush``),
     the recorded ``phase``, and per-row bookkeeping (``on_segment``,
-    with ``want_row_times`` supplying XJoin's arrival timestamps).
+    which also receives each row's post-charge instant — XJoin's
+    arrival timestamps).
 
     Equivalence to the per-tuple protocol: the batch is processed in
     segments that fit the free memory, the scalar :func:`_clock_walk`
@@ -301,7 +300,8 @@ def run_columnar_batch(
             buckets[lo:hi],
             need_pairs=need_pairs,
         )
-        res_times, row_times, now = _clock_walk(
+        row_times: list[float] = []
+        res_times, now = _clock_walk(
             now,
             times_l[lo:hi],
             plan.candidates.tolist(),
@@ -310,7 +310,7 @@ def run_columnar_batch(
             compare_cost,
             result_cost,
             pending,
-            want_row_times,
+            row_times if on_segment is not None else None,
         )
         pending = False
         if plan.total_matches:

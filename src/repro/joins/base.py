@@ -161,10 +161,10 @@ class StreamingJoinOperator(abc.ABC):
         """Process a run of arrivals delivered as columns.
 
         The driver hands a one-join plan's every run batch to this
-        hook (only while no early stop is armed; the kernel then
-        replays runs through :meth:`on_tuple` itself).  Implementations must match per-tuple
-        delivery exactly — identical per-tuple clock charges and
-        emission order.  This default boxes the batch and replays it
+        hook (only while no early stop is armed; under a stop every
+        kernel step delivers one tuple through :meth:`on_tuple`).
+        Implementations must match per-tuple delivery exactly —
+        identical per-tuple clock charges and emission order.  This default boxes the batch and replays it
         through :meth:`on_tuple_batch`, so operators without an
         array-native path (and subclasses that customise
         :meth:`on_tuple`) stay correct.

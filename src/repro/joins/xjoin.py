@@ -163,9 +163,8 @@ class XJoin(StreamingJoinOperator):
             lo: int,
             hi: int,
             plan: BatchProbeResult,
-            row_times: list[float] | None,
+            row_times: list[float],
         ) -> None:
-            assert row_times is not None
             seg_isa = isa[lo:hi]
             seg_tids = tids[lo:hi]
             # ``asarray`` of Python floats and ``tolist`` back are both
@@ -192,7 +191,6 @@ class XJoin(StreamingJoinOperator):
             memory=self.memory,
             flush=self._flush_largest_bucket,
             phase=self.PHASE_STAGE1,
-            want_row_times=True,
             on_segment=record_segment,
         )
 
@@ -270,19 +268,21 @@ class XJoin(StreamingJoinOperator):
 
     def on_blocked(self, budget: WorkBudget) -> None:
         while not budget.expired():
-            if self._stage2_active is None:
+            active = self._stage2_active
+            if active is None:
                 pick = self._pick_stage2()
                 if pick is None:
                     return
-                self._stage2_active = self._stage2_pass(*pick)
-            if self._drain_active(budget):
+                active = self._stage2_active = self._stage2_pass(*pick)
+            if self._drain_active(active, budget):
                 self._stage2_active = None
 
-    def _drain_active(self, budget: WorkBudget) -> bool:
-        assert self._stage2_active is not None
+    @staticmethod
+    def _drain_active(stage2: Iterator[None], budget: WorkBudget) -> bool:
+        """Advance a stage-2 pass until the budget expires; True when done."""
         while not budget.expired():
             try:
-                next(self._stage2_active)
+                next(stage2)
             except StopIteration:
                 return True
         return False
@@ -358,7 +358,8 @@ class XJoin(StreamingJoinOperator):
         it finishes, and stage 3 relies on that record to avoid
         re-emitting the pass's output.
         """
-        if self._stage2_active is not None and self._drain_active(budget):
+        active = self._stage2_active
+        if active is not None and self._drain_active(active, budget):
             self._stage2_active = None
         self._flush_all_memory()
         for bucket in range(self._n_buckets):

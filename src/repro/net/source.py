@@ -215,118 +215,26 @@ class NetworkSource:
         )
 
 
-class SourceCursor:
+class SourceCursor(NetworkSource):
     """One consumer's read position over a shared :class:`NetworkSource`.
 
-    Exposes the same streaming surface as the source itself — peek,
-    pop, batch pops, pending-times hooks — against a private index, so
-    the engine and plan executor treat a cursor exactly like a
-    dedicated source.  All cursors share the underlying relation and
-    materialised schedule; none of them moves the source's own index.
+    A source whose relation and both schedule views are the hub's, read
+    from a private index, so the engine and plan executor treat a
+    cursor exactly like a dedicated source.  None of the cursors moves
+    the hub's own index.
     """
 
     def __init__(self, source: NetworkSource, label: str = "") -> None:
-        self._source = source
-        times, _ = source.pending_times()
-        times_array, _ = source.pending_times_array()
-        self._times = times
-        self._times_array = times_array
         self._relation = source.relation
-        self._label = label or f"{source.name}*"
+        self._times_array = source._times_array
+        self._times = source._times
         self._index = 0
+        self._label = label or f"{source.name}*"
 
     @property
     def name(self) -> str:
         """Cursor label (defaults to the source name starred)."""
         return self._label
-
-    @property
-    def source_label(self) -> str:
-        """The source tag ("A" or "B") carried by this stream's tuples."""
-        return self._relation.source
-
-    @property
-    def relation(self) -> Relation:
-        """The shared relation this cursor delivers (read-only)."""
-        return self._relation
-
-    def __len__(self) -> int:
-        return len(self._relation)
-
-    @property
-    def delivered(self) -> int:
-        """Tuples already popped through this cursor."""
-        return self._index
-
-    @property
-    def remaining(self) -> int:
-        """Tuples not yet popped through this cursor."""
-        return len(self._relation) - self._index
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether this cursor has delivered every tuple."""
-        return self._index >= len(self._relation)
-
-    def peek_time(self) -> float | None:
-        """Arrival time of this cursor's next tuple, or ``None``."""
-        if self.exhausted:
-            return None
-        return self._times[self._index]
-
-    def pop(self) -> tuple[float, Tuple]:
-        """Deliver this cursor's next (arrival_time, tuple) pair."""
-        if self.exhausted:
-            raise SimulationError(f"cursor {self.name!r} is exhausted")
-        t = self._relation[self._index]
-        time = self._times[self._index]
-        self._index += 1
-        return time, t
-
-    def pop_batch(self, n: int) -> tuple[list[float], list[Tuple]]:
-        """Deliver the next ``n`` (times, tuples) as two parallel slices."""
-        start = self._index
-        end = start + n
-        if n < 1 or end > len(self._relation):
-            raise SimulationError(
-                f"cursor {self.name!r} cannot deliver {n} tuples "
-                f"({self.remaining} remaining)"
-            )
-        self._index = end
-        return self._times[start:end], self._relation.tuples[start:end]
-
-    def pop_batch_columns(
-        self, n: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list | None]:
-        """Deliver the next ``n`` arrivals as zero-copy column slices."""
-        start = self._index
-        end = start + n
-        if n < 1 or end > len(self._relation):
-            raise SimulationError(
-                f"cursor {self.name!r} cannot deliver {n} tuples "
-                f"({self.remaining} remaining)"
-            )
-        cols = self._relation.columns()
-        self._index = end
-        payloads = None if cols.payloads is None else cols.payloads[start:end]
-        return (
-            self._times_array[start:end],
-            cols.keys[start:end],
-            cols.tids[start:end],
-            payloads,
-        )
-
-    def columns(self) -> RelationColumns:
-        """The shared relation's columnar image."""
-        return self._relation.columns()
-
-    def pending_times(self) -> tuple[list[float], int]:
-        """The shared arrival-time list and this cursor's position."""
-        return self._times, self._index
-
-    def pending_times_array(self) -> tuple[np.ndarray, int]:
-        """Array twin of :meth:`pending_times` (same instants, float64)."""
-        return self._times_array, self._index
 
     def __repr__(self) -> str:
         return (
@@ -589,8 +497,8 @@ class ReorderBuffer:
                 buffered=len(self._pending),
             )
         # Release due tuples in event order, honouring the stop
-        # predicate between consecutive deliveries (the kernel checks
-        # it exactly there on its batched arrival path).
+        # predicate between consecutive deliveries, where the kernel's
+        # per-event loop would check it before each arrival.
         first = True
         while self._next < self._n and self._deadlines[self._next] <= punctuation:
             if first:

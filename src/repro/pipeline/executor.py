@@ -12,9 +12,9 @@ join is the one-join plan ``join(leaf(a), leaf(b), ...)``
 * a one-join plan over two bare leaves receives each merged run of
   arrivals as columns (:meth:`StreamingJoinOperator.on_column_batch
   <repro.joins.base.StreamingJoinOperator.on_column_batch>`); deeper
-  plans get the kernel's per-arrival replay, because every result a
-  node produces is wrapped as a side-labelled tuple and pushed into
-  its parent operator immediately — full pipelining;
+  plans take per-event kernel steps, because every result a node
+  produces is wrapped as a side-labelled tuple and pushed into its
+  parent operator immediately — full pipelining;
 * when *every* leaf is silent past the blocking threshold, the kernel
   shares the gap round-robin between the nodes that have background
   work (HMJ/PMJ merging, XJoin's reactive stage), in threshold-sized
@@ -183,18 +183,15 @@ class PlanExecutor:
             ),
             journal=self.journal,
         )
-        # All leaves share one batch group.  A one-join plan over two
-        # bare leaves takes each merged run as columns; anything deeper
-        # has the kernel replay runs per arrival, since results must
-        # cascade upward immediately.  Disordered leaves are not kernel
-        # streams at all — their tuples arrive through a reorder
+        # Every in-order leaf exposes its schedule to the kernel.  A
+        # one-join plan over two bare leaves takes each merged run as
+        # columns; anything deeper takes per-event steps, since results
+        # must cascade upward immediately.  Disordered leaves are not
+        # kernel streams at all — their tuples arrive through a reorder
         # buffer's punctuation timers in event order at e_i + B — so
         # the left leaf's stream index stays -1 for them.
         columnar = len(self._joins) == 1 and not any(
             chain for *_, chain in self._leaves
-        )
-        group = self.scheduler.add_batch_group(
-            self._deliver_batch if columnar else None
         )
         self._left_stream = -1
         # Each in-order leaf's column pop, by the side it plays.
@@ -212,13 +209,13 @@ class PlanExecutor:
                 leaf.source.peek_time,
                 lambda pop=pop, release=release: release(pop()[1]),
                 times=leaf.source.pending_times_array,
-                group=group,
             )
             if columnar:
                 self._pop_columns[side] = leaf.source.pop_batch_columns
                 if side == SOURCE_A:
                     self._left_stream = index
-        self.scheduler.batching = bool(batch_delivery)
+        if columnar and batch_delivery:
+            self.scheduler.deliver_run = self._deliver_batch
         for node in self._joins:
             state = self._states[id(node)]
             self.scheduler.add_worker(
@@ -312,9 +309,9 @@ class PlanExecutor:
 
     def run(self):
         """Execute the plan; returns :meth:`build_result`'s object."""
-        if not self.scheduler.run():
-            return self.build_result(completed=False)
-        return self.build_result(completed=self.finish_run())
+        from repro.sim.query import Query
+
+        return Query(self).run()
 
     def stream(self):
         """Execute the plan, yielding root results as they surface.
@@ -327,7 +324,7 @@ class PlanExecutor:
         """
         # Streaming promises single-arrival granularity; stay on the
         # per-event path (same numbers, finer interleaving).
-        self.scheduler.batching = False
+        self.scheduler.deliver_run = None
         fresh: list = []
         self.recorder.add_tap(lambda result, event: fresh.append((result, event)))
 
@@ -370,13 +367,12 @@ class PlanExecutor:
     def _deliver_batch(self, indices: np.ndarray, times: np.ndarray) -> None:
         """Pop one merged run of a one-join plan's leaves as columns.
 
-        The kernel calls this only while no early stop is armed; it
-        replays runs through the streams' per-arrival hooks otherwise.
-        ``indices`` holds each run position's stream index.  A row's
-        side is its leaf's position — exactly what per-tuple
-        relabelling gives.  Single-leaf runs are zero-copy slices;
-        mixed runs scatter the two leaves' column slices into run
-        order.
+        The kernel calls this only while no early stop is armed; every
+        step under a stop is a per-event one.  ``indices`` holds each
+        run position's stream index.  A row's side is its leaf's
+        position — exactly what per-tuple relabelling gives.
+        Single-leaf runs are zero-copy slices; mixed runs scatter the
+        two leaves' column slices into run order.
         """
         pops = self._pop_columns
         from_left = indices == self._left_stream

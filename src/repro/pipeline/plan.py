@@ -29,13 +29,14 @@ from typing import Callable, Union
 
 from repro.errors import ConfigurationError
 from repro.joins.base import StreamingJoinOperator
-from repro.net.source import DisorderedSource, NetworkSource, SourceCursor
+from repro.net.source import DisorderedSource, NetworkSource
 from repro.storage.tuples import JoinResult, Tuple
 
 PlanNode = Union["SourceLeaf", "JoinNode", "FilterNode", "MapNode"]
 #: A node between a child and its parent join (see unwrap_transforms).
 Transform = Union["FilterNode", "MapNode"]
-LeafSource = Union[NetworkSource, SourceCursor, DisorderedSource]
+#: A :class:`~repro.net.source.SourceCursor` is a ``NetworkSource``.
+LeafSource = Union[NetworkSource, DisorderedSource]
 KeyFn = Callable[[JoinResult], int]
 OperatorFactory = Callable[[], StreamingJoinOperator]
 PredicateFn = Callable[["Tuple"], bool]

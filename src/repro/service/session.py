@@ -252,7 +252,7 @@ class QuerySession:
         # per-event path is observably identical (the equivalence
         # suite pins it), so interleaving stays fine-grained without
         # perturbing any tenant's numbers.
-        query.scheduler.batching = False
+        query.scheduler.deliver_run = None
         query.start()
         query.session_offset = self.clock.now
         self._running.append(query)

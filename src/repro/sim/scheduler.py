@@ -26,32 +26,33 @@ kernel owns three behaviours:
   last stream is exhausted are dropped: the cleanup phase runs in one
   protocol call, so there is nothing left to adapt.
 
-On top of the per-event loop sits **run-batch delivery**: streams that
-join a *batch group* (and expose their pending arrival times as a
-float64 array) have maximal runs of consecutive arrivals extracted in
-exact heap order and handed to the group's callback in one call,
-instead of one heap pop/push round-trip per tuple.  A run is broken
-exactly where the per-event loop would have done something other than
-deliver the next group arrival:
+On top of the per-event loop sits **run delivery**: streams registered
+with a ``times`` hook (their pending arrival times as a float64 array)
+may have maximal runs of consecutive arrivals extracted in exact heap
+order and handed to the kernel's one run callback,
+:attr:`EventScheduler.deliver_run`, in one call instead of one heap
+pop/push round-trip per tuple.  A step takes this path only while the
+callback is set and no ``stop_when`` predicate is armed; every other
+step is the ordinary per-event pop/deliver/push, so early stops keep
+single-result granularity.  A run is broken exactly where the
+per-event loop would have done something other than deliver the next
+such arrival:
 
 * at an inter-arrival gap exceeding ``blocking_threshold`` (the next
   event *might* open a blocked window — only the live clock, after the
-  batch's processing costs, can tell);
+  run's processing costs, can tell);
 * at any pending timer due at or before the next arrival (timers fire
   before arrivals at the same instant);
-* at any arrival of a stream outside the group (stream interleaving
-  *within* the group is preserved inside the batch, in ``(time,
-  registration-index)`` heap order).
+* at any arrival of a stream registered without ``times`` (stream
+  interleaving among ``times`` streams is preserved inside the run, in
+  ``(time, registration-index)`` heap order).
 
-When the ``stop_when`` predicate is armed, or the group registered no
-callback, the kernel replays the run itself — one member ``deliver()``
-per arrival, the clock advanced to each instant, and the predicate
-checked between consecutive arrivals — so early stops keep
-single-result granularity.
-
-Batch boundaries carry no simulation state — breaking a run early is
-always safe, merely slower — so the batched and per-event paths are
-observably identical (the equivalence suite pins this).
+Run boundaries carry no simulation state — breaking a run early is
+always safe, merely slower — so run and per-event steps are
+observably identical (the equivalence suite pins this), and a run
+step re-pushes every ``times`` stream, so the heap holds one entry per
+live stream after every step in either mode: switching between them
+mid-run is safe.
 
 The kernel knows nothing about joins: streams are ``(peek, deliver)``
 callable pairs, workers are ``(has_work, run)`` pairs, and the
@@ -88,10 +89,10 @@ DeliverFn = Callable[[], None]
 #: the next delivery; the kernel reads (never consumes) this to
 #: extract runs.
 TimesFn = Callable[[], "tuple[np.ndarray, int]"]
-#: Batch delivery: one run as parallel arrays — int64 stream indices
+#: Run delivery: one run as parallel arrays — int64 stream indices
 #: and float64 arrival times, one entry per arrival, in exact heap
 #: dispatch order.
-BatchDeliverFn = Callable[[np.ndarray, np.ndarray], None]
+RunDeliverFn = Callable[[np.ndarray, np.ndarray], None]
 HasWorkFn = Callable[[], bool]
 WorkFn = Callable[[WorkBudget], None]
 StopFn = Callable[[], bool]
@@ -105,19 +106,9 @@ class _Stream:
     index: int
     peek: PeekFn
     deliver: DeliverFn
-    group: "_BatchGroup | None" = None
+    #: Pending arrival times; set when the stream takes run delivery.
+    times: TimesFn | None = None
     live: bool = False
-
-
-@dataclass(slots=True)
-class _BatchGroup:
-    """Streams whose arrival runs may be delivered as merged batches."""
-
-    deliver: BatchDeliverFn | None = None
-    members: list[_Stream] = field(default_factory=list)
-    #: Each member's ``times`` hook, parallel to ``members``.
-    schedules: list[TimesFn] = field(default_factory=list)
-    member_ids: set[int] = field(default_factory=set)
 
 
 @dataclass(slots=True)
@@ -144,11 +135,18 @@ class EventScheduler:
         journal: Optional structural-event timeline; the kernel records
             ``blocked-window`` entries under the ``engine`` actor, as
             the pre-kernel loops did.
-        batching: Whether batch groups actually batch.  When False,
-            grouped streams fall back to per-event delivery — the
-            streaming APIs use this to keep single-arrival yield
-            granularity, and the equivalence suite uses it to compare
-            the two paths.
+        deliver_run: Optional run callback.  ``deliver_run(indices,
+            times)`` receives one maximal run of arrivals of the
+            streams registered with ``times``: parallel int64/float64
+            arrays of each arrival's stream index and time, in exact
+            heap dispatch order.  It must consume each arrival from
+            its stream in that order and advance the clock to each
+            arrival time before processing it (it may deliver fewer
+            than offered; the kernel re-reads the streams afterwards).
+            It is called only while ``stop_when`` is unset.  ``None``
+            (the default) means per-event steps — the streaming APIs
+            and service sessions clear it to keep single-arrival
+            granularity.
         probe: Optional observer invoked after every dispatched event
             (timer, arrival, or batch).  Probes must be pure observers
             — they may read but never advance the clock, touch the
@@ -163,11 +161,13 @@ class EventScheduler:
     blocking_threshold: float
     stop_when: StopFn | None = None
     journal: SimulationJournal | None = None
-    batching: bool = True
+    deliver_run: RunDeliverFn | None = None
     probe: TimerFn | None = None
 
     _streams: list[_Stream] = field(default_factory=list)
-    _groups: list[_BatchGroup] = field(default_factory=list)
+    # Streams registered with ``times`` and their hooks, in
+    # registration order.
+    _run_streams: list[tuple[_Stream, TimesFn]] = field(default_factory=list)
     _workers: list[_Worker] = field(default_factory=list)
     # Heap entries: (time, kind, index, payload).  The (time, kind,
     # index) prefix is unique, so payloads are never compared.
@@ -193,32 +193,12 @@ class EventScheduler:
 
     # -- registration -------------------------------------------------------
 
-    def add_batch_group(self, deliver: BatchDeliverFn | None = None) -> int:
-        """Register a batch-delivery group; returns its id.
-
-        ``deliver(indices, times)`` receives one maximal run of arrivals
-        from the group's member streams: parallel int64/float64 arrays
-        of the source stream index and the arrival time of each tuple,
-        in exact heap dispatch order.  The callback must consume each
-        arrival from its stream in that order and advance the clock to
-        each arrival time before processing it (it may deliver fewer
-        than offered; the kernel re-reads the streams afterwards).
-
-        Without a callback — and for every group while ``stop_when`` is
-        armed — the kernel replays each run itself through the members'
-        per-event ``deliver()`` hooks, checking the predicate between
-        consecutive arrivals.
-        """
-        self._groups.append(_BatchGroup(deliver=deliver))
-        return len(self._groups) - 1
-
     def add_stream(
         self,
         peek: PeekFn,
         deliver: DeliverFn,
         *,
         times: TimesFn | None = None,
-        group: int | None = None,
     ) -> int:
         """Register an arrival stream.
 
@@ -227,25 +207,18 @@ class EventScheduler:
         consumes exactly one arrival.  Returns the stream's index;
         at equal arrival times, lower indices deliver first.
 
-        A stream may additionally join a batch group (see
-        :meth:`add_batch_group`) by passing the group id and a
-        ``times`` hook exposing its full pending arrival times as a
-        float64 array; its arrivals are then dispatched in merged runs
-        whenever :attr:`batching` is enabled.
+        A stream opts in to run delivery by passing a ``times`` hook
+        exposing its full pending arrival times as a float64 array and
+        the cursor of its next delivery; its arrivals are then
+        dispatched in merged runs whenever :attr:`deliver_run` is set
+        and no stop is armed.
         """
-        if (group is None) != (times is None):
-            raise ConfigurationError(
-                "batched streams need both `group` and `times` (got one)"
-            )
-        stream = _Stream(index=len(self._streams), peek=peek, deliver=deliver)
-        if group is not None and times is not None:
-            if not 0 <= group < len(self._groups):
-                raise ConfigurationError(f"unknown batch group id {group!r}")
-            stream.group = self._groups[group]
-            stream.group.members.append(stream)
-            stream.group.schedules.append(times)
-            stream.group.member_ids.add(stream.index)
+        stream = _Stream(
+            index=len(self._streams), peek=peek, deliver=deliver, times=times
+        )
         self._streams.append(stream)
+        if times is not None:
+            self._run_streams.append((stream, times))
         first = stream.peek()
         if first is not None:
             heapq.heappush(self._heap, (first, _KIND_ARRIVAL, stream.index, None))
@@ -351,10 +324,10 @@ class EventScheduler:
     def step(self) -> bool:
         """Dispatch the next event, with any preceding blocked window.
 
-        With batching enabled, one step may deliver a whole run of
-        grouped arrivals (see module docstring); the run is exactly the
-        sequence of events consecutive per-event steps would have
-        dispatched, so observable behaviour is unchanged.
+        With :attr:`deliver_run` set and no stop armed, one step may
+        deliver a whole run of arrivals (see module docstring); the run
+        is exactly the sequence of events consecutive per-event steps
+        would have dispatched, so observable behaviour is unchanged.
 
         Returns False when the streaming phase is over: the stop
         predicate fired, or no arrival remains (pending timers are then
@@ -394,19 +367,21 @@ class EventScheduler:
                 self.probe()
             return True
         stream = self._streams[index]
-        group = stream.group
-        if self.batching and group is not None:
-            self._dispatch_batch(group)
-            if self.probe is not None:
-                self.probe()
-            return True
-        stream.deliver()
-        nxt = stream.peek()
-        if nxt is None:
-            stream.live = False
-            self._live_streams -= 1
+        deliver_run = self.deliver_run
+        if (
+            deliver_run is not None
+            and self.stop_when is None
+            and stream.times is not None
+        ):
+            self._dispatch_run(deliver_run)
         else:
-            heapq.heappush(self._heap, (nxt, _KIND_ARRIVAL, index, None))
+            stream.deliver()
+            nxt = stream.peek()
+            if nxt is None:
+                stream.live = False
+                self._live_streams -= 1
+            else:
+                heapq.heappush(self._heap, (nxt, _KIND_ARRIVAL, index, None))
         if self.probe is not None:
             self.probe()
         return True
@@ -421,65 +396,44 @@ class EventScheduler:
             pass
         return not self.stopped
 
-    # -- batch delivery -----------------------------------------------------
+    # -- run delivery -------------------------------------------------------
 
-    def _dispatch_batch(self, group: _BatchGroup) -> None:
-        """Deliver the maximal run starting at the popped head of ``group``.
+    def _dispatch_run(self, deliver_run: RunDeliverFn) -> None:
+        """Deliver the maximal run starting at the popped head.
 
-        The head entry (an arrival of one member) is already popped and
-        the clock already sits at its arrival time; this extracts how
-        far the run extends, hands it to the group callback in one call
-        (or replays it per arrival, see :meth:`_replay_run`), then
-        re-reads every member stream to restore the
-        one-pending-entry-per-live-stream heap invariant.
+        The head entry (an arrival of a ``times`` stream) is already
+        popped and the clock already sits at its arrival time; this
+        extracts how far the run extends, hands it to ``deliver_run``
+        in one call, then re-reads every ``times`` stream to restore
+        the one-pending-entry-per-live-stream heap invariant.
         """
-        members = group.members
+        members = self._run_streams
         heap = self._heap
         if len(members) > 1 and heap:
             # Other members' pending entries are superseded by the run
             # extraction; purge them so the heap top is the true bound.
-            member_ids = group.member_ids
-            kept = [e for e in heap if e[1] != _KIND_ARRIVAL or e[2] not in member_ids]
+            streams = self._streams
+            kept = [
+                e for e in heap
+                if e[1] != _KIND_ARRIVAL or streams[e[2]].times is None
+            ]
             if len(kept) != len(heap):
                 heap[:] = kept
                 heapq.heapify(heap)
         if heap:
-            # The run may not reach the next non-group event: a timer
-            # (or outside arrival) due inside it must fire in order.
-            # At equal times a timer always wins; a competing arrival
-            # wins unless the member's registration index is lower.
+            # The run may not reach the next other event: a timer (or
+            # an arrival of a stream without ``times``) due inside it
+            # must fire in order.  At equal times a timer always wins;
+            # a competing arrival wins unless the member's registration
+            # index is lower.
             bound = heap[0]
             bound_time = bound[0]
             bound_index = bound[2] if bound[1] == _KIND_ARRIVAL else -1
         else:
             bound_time = float("inf")
             bound_index = -1
-        indices, times = self._extract_run(group, bound_time, bound_index)
-        if group.deliver is None or self.stop_when is not None:
-            self._replay_run(indices, times)
-        else:
-            group.deliver(indices, times)
-        self._repush_members(members)
-
-    def _replay_run(self, indices: np.ndarray, times: np.ndarray) -> None:
-        """Deliver a run one arrival at a time through each stream's hook.
-
-        Exactly the per-event loop's sequence: the clock advances to
-        each arrival before its stream's ``deliver()``, and an armed
-        stop predicate is checked between consecutive arrivals.
-        """
-        streams = self._streams
-        advance_to = self.clock.advance_to
-        stop = self.stop_when
-        for i, (index, at) in enumerate(zip(indices.tolist(), times.tolist())):
-            if i and stop is not None and stop():
-                return
-            advance_to(at)
-            streams[index].deliver()
-
-    def _repush_members(self, members: list[_Stream]) -> None:
-        heap = self._heap
-        for member in members:
+        deliver_run(*self._extract_run(bound_time, bound_index))
+        for member, _ in members:
             nxt = member.peek()
             if nxt is None:
                 if member.live:
@@ -492,7 +446,7 @@ class EventScheduler:
                 heapq.heappush(heap, (nxt, _KIND_ARRIVAL, member.index, None))
 
     def _extract_run(
-        self, group: _BatchGroup, bound_time: float, bound_index: int
+        self, bound_time: float, bound_index: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """The maximal deliverable run, merged over growing windows.
 
@@ -513,7 +467,7 @@ class EventScheduler:
         """
         bounded = bound_time != float("inf")
         cursors: list[tuple[np.ndarray, int]] = []
-        for member, times in zip(group.members, group.schedules):
+        for member, times in self._run_streams:
             arr, pos = times()
             pending = arr[pos:]
             if bounded and pending.size:

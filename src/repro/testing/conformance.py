@@ -143,8 +143,7 @@ BUDGETED = RESIZABLE
 #: driver's ``batch_delivery`` switch.  Batched one-join plans — every
 #: single join — hand each run to ``on_column_batch`` (operators
 #: without an array path box it and replay ``on_tuple``); deeper plans,
-#: and any run with ``stop_after`` armed, are replayed per arrival by
-#: the kernel itself.
+#: and any run with ``stop_after`` armed, take per-event kernel steps.
 DELIVERY_PATHS: dict[str, bool] = {"batched": True, "per-event": False}
 
 #: Relations per plan cell (4 exercises every shape: a 3-rung chain, a

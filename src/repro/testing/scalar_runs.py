@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sim.scheduler import EventScheduler, _BatchGroup
+from repro.sim.scheduler import EventScheduler
 
 
 def scalar_run(
@@ -61,10 +61,10 @@ class ScalarRunScheduler(EventScheduler):
     __slots__ = ()
 
     def _extract_run(
-        self, group: _BatchGroup, bound_time: float, bound_index: int
+        self, bound_time: float, bound_index: int
     ) -> tuple[np.ndarray, np.ndarray]:
         schedules = []
-        for member, times in zip(group.members, group.schedules):
+        for member, times in self._run_streams:
             arr, pos = times()
             schedules.append((arr.tolist(), pos, member.index))
         order, out = scalar_run(

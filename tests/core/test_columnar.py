@@ -380,14 +380,12 @@ def _drain_runs(
             by_index[index].deliver_one()
         runs.append((order, instants))
 
-    group = scheduler.add_batch_group(deliver)
+    scheduler.deliver_run = deliver
     for slot, stream in enumerate(streams):
         if outside is not None and slot == outside_slot:
             lone = _FakeStream(outside)
             scheduler.add_stream(lone.peek, lone.deliver_one)
-        index = scheduler.add_stream(
-            stream.peek, stream.deliver_one, times=stream.times, group=group
-        )
+        index = scheduler.add_stream(stream.peek, stream.deliver_one, times=stream.times)
         by_index[index] = stream
     for at in timer_times:
         scheduler.call_at(at, lambda: None)

@@ -193,7 +193,7 @@ def test_track_first_k_records_session_time():
 
 def test_on_error_capture_keeps_session_serving():
     class _Sched:
-        batching = True
+        deliver_run = None
         stop_when = None
         next_event_time = 0.0
 

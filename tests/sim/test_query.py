@@ -99,7 +99,7 @@ def test_cancel_mid_run_stops_and_drops_timers_observably():
     # cancellation itself must appear in the query's journal.
     sim = make_sim(journal=True, broker=ResourceBroker([(999.0, 40)]))
     query = Query(sim, query_id="victim")
-    query.scheduler.batching = False  # what a session pins at admission
+    query.scheduler.deliver_run = None  # what a session pins at admission
     query.start()
     for _ in range(10):
         assert query.step()

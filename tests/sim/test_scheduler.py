@@ -257,17 +257,17 @@ def test_journal_records_blocked_windows():
 
 
 def make_batched_streams(sched, times_by_tag: dict[str, list[float]], log: list):
-    """Register the given streams in one batch group.
+    """Register the given streams for run delivery.
 
-    The group callback consumes each offered arrival from its queue
+    The run callback consumes each offered arrival from its queue
     (asserting the offered time matches the queue head) and appends
-    ``(tag, time)`` to ``log``; returns the list of delivered batches.
+    ``(tag, time)`` to ``log``; returns the list of delivered runs.
     """
     queues = {tag: list(times) for tag, times in times_by_tag.items()}
     index_to_tag: dict[int, str] = {}
     batches: list[list[tuple[str, float]]] = []
 
-    def deliver_batch(indices, times):
+    def deliver_run(indices, times):
         assert indices.dtype == np.int64 and times.dtype == np.float64
         batch = []
         for index, at in zip(indices.tolist(), times.tolist()):
@@ -278,17 +278,16 @@ def make_batched_streams(sched, times_by_tag: dict[str, list[float]], log: list)
             batch.append((tag, at))
         batches.append(batch)
 
-    group = sched.add_batch_group(deliver_batch)
+    sched.deliver_run = deliver_run
     for tag, schedule in times_by_tag.items():
         queue = queues[tag]
         index = sched.add_stream(
             lambda queue=queue: queue[0] if queue else None,
-            lambda: pytest.fail("grouped stream delivered per-event"),
+            lambda: pytest.fail("run stream delivered per-event"),
             times=lambda queue=queue, schedule=np.asarray(schedule): (
                 schedule,
                 len(schedule) - len(queue),
             ),
-            group=group,
         )
         index_to_tag[index] = tag
     return batches
@@ -355,39 +354,19 @@ def test_outside_stream_breaks_batch():
 
 def test_batching_disabled_delivers_per_event():
     sched, _ = make_scheduler()
-    sched.batching = False
+    assert sched.deliver_run is None
     log: list = []
     queue = [0.1, 0.2]
-
-    group = sched.add_batch_group(
-        lambda indices, times: pytest.fail("batching disabled")
-    )
     sched.add_stream(
         lambda: queue[0] if queue else None,
         lambda: log.append(queue.pop(0)),
         times=lambda: (np.array([0.1, 0.2]), 2 - len(queue)),
-        group=group,
     )
-    assert sched.run()
+    steps = 0
+    while sched.step():
+        steps += 1
     assert log == [0.1, 0.2]
-
-
-def test_grouped_stream_requires_both_group_and_times():
-    sched, _ = make_scheduler()
-    with pytest.raises(ConfigurationError):
-        sched.add_stream(lambda: None, lambda: None, group=0)
-    with pytest.raises(ConfigurationError):
-        sched.add_stream(
-            lambda: None, lambda: None, times=lambda: (np.array([]), 0)
-        )
-
-
-def test_unknown_batch_group_rejected():
-    sched, _ = make_scheduler()
-    with pytest.raises(ConfigurationError):
-        sched.add_stream(
-            lambda: None, lambda: None, times=lambda: (np.array([]), 0), group=3
-        )
+    assert steps == 2
 
 
 def test_batch_deliverer_may_stop_short():
@@ -399,60 +378,114 @@ def test_batch_deliverer_may_stop_short():
     clock = VirtualClock()
     sched = EventScheduler(clock=clock, blocking_threshold=1.0)
 
-    def deliver_batch(indices, times):
+    def deliver_run(indices, times):
         offered.append(times.tolist())
         for at in times.tolist()[:2]:
             assert queue[0] == at
             clock.advance_to(at)
             queue.pop(0)
 
-    group = sched.add_batch_group(deliver_batch)
+    sched.deliver_run = deliver_run
     sched.add_stream(
         lambda: queue[0] if queue else None,
-        lambda: pytest.fail("grouped stream delivered per-event"),
+        lambda: pytest.fail("run stream delivered per-event"),
         times=lambda: (schedule, len(schedule) - len(queue)),
-        group=group,
     )
     assert sched.run()
     assert offered == [[0.1, 0.2, 0.3, 0.4], [0.3, 0.4]]
     assert queue == []
 
 
-@pytest.mark.parametrize("stop_at", [1, 3, 4])
-def test_armed_stop_replays_run_per_arrival(stop_at):
-    # With stop_when armed the kernel never calls the group callback:
-    # it replays the extracted run through the per-event hooks and
-    # checks the predicate between two arrivals of that one run.
-    log: list = []
-    schedules = {"a": [0.1, 0.3, 0.5], "b": [0.2, 0.4]}
-    queues = {tag: list(times) for tag, times in schedules.items()}
-    clock = VirtualClock()
-    sched = EventScheduler(
-        clock=clock, blocking_threshold=1.0, stop_when=lambda: len(log) >= stop_at
-    )
-    group = sched.add_batch_group(
-        lambda indices, times: pytest.fail("callback called with a stop armed")
-    )
-    for tag, schedule in schedules.items():
+# Four runs at threshold 1.0: five arrivals, three, two of "a" alone
+# (so "b" keeps a pending arrival the run never touched), then one.
+_INTERLEAVED = {"a": [0.1, 0.3, 0.5, 2.0, 2.1, 4.0, 4.2], "b": [0.2, 0.4, 2.05, 6.0]}
+
+
+def make_logged_streams(sched, clock, log: list) -> None:
+    """Register ``_INTERLEAVED`` with per-event and run hooks.
+
+    Both paths append ``(tag, time, clock.now)`` per arrival to ``log``,
+    so a run step and the per-event steps it stands for log the same.
+    """
+    queues = {tag: list(times) for tag, times in _INTERLEAVED.items()}
+    tags: list[str] = []
+
+    def take(tag: str) -> None:
+        log.append((tag, queues[tag].pop(0), clock.now))
+
+    def deliver_run(indices, times):
+        for index, at in zip(indices.tolist(), times.tolist()):
+            clock.advance_to(at)
+            take(tags[index])
+
+    sched.deliver_run = deliver_run
+    for tag, schedule in _INTERLEAVED.items():
         queue = queues[tag]
+        tags.append(tag)
         sched.add_stream(
             lambda queue=queue: queue[0] if queue else None,
-            lambda queue=queue, tag=tag: log.append((tag, queue.pop(0), clock.now)),
+            lambda tag=tag: take(tag),
             times=lambda queue=queue, arr=np.asarray(schedule): (
                 arr,
                 len(arr) - len(queue),
             ),
-            group=group,
         )
+
+
+@pytest.mark.parametrize("stop_at", [1, 3, 4])
+def test_armed_stop_never_calls_deliver_run(stop_at):
+    # With stop_when armed the kernel never calls the run callback:
+    # each arrival is one per-event step, and the predicate is checked
+    # before each, so the stop lands right after arrival ``stop_at``.
+    log: list = []
+    clock = VirtualClock()
+    sched = EventScheduler(
+        clock=clock, blocking_threshold=1.0, stop_when=lambda: len(log) >= stop_at
+    )
+    make_logged_streams(sched, clock, log)
+    sched.deliver_run = lambda indices, times: pytest.fail(
+        "run callback called with a stop armed"
+    )
     steps = 0
     while sched.step():
         steps += 1
-    # One step: the whole interleaved run was extracted at once, and
-    # the stop landed right after arrival ``stop_at``, before the next.
-    assert steps == 1
+    assert steps == stop_at
     assert sched.stopped
     expected = [("a", 0.1), ("b", 0.2), ("a", 0.3), ("b", 0.4), ("a", 0.5)]
     assert log == [(tag, at, at) for tag, at in expected[:stop_at]]
+
+
+@pytest.mark.parametrize("switch", ["arm-stop", "clear-callback"])
+@pytest.mark.parametrize("after", [1, 2, 3])
+def test_switching_to_per_event_mid_run_keeps_delivery_log(switch, after):
+    # Every step leaves one heap entry per live stream, so turning run
+    # delivery off between steps — by arming a stop that never fires,
+    # or by clearing the callback — changes nothing observable.
+    reference: list = []
+    clock = VirtualClock()
+    sched = EventScheduler(clock=clock, blocking_threshold=1.0)
+    make_logged_streams(sched, clock, reference)
+    sched.deliver_run = None
+    assert sched.run()
+
+    log: list = []
+    clock = VirtualClock()
+    sched = EventScheduler(clock=clock, blocking_threshold=1.0)
+    make_logged_streams(sched, clock, log)
+    for _ in range(after):
+        assert sched.step()
+    batched = len(log)
+    assert batched == {1: 5, 2: 8, 3: 10}[after]  # whole runs per step
+    if switch == "arm-stop":
+        sched.stop_when = lambda: False
+    else:
+        sched.deliver_run = None
+    steps = 0
+    while sched.step():
+        steps += 1
+    assert log == reference
+    assert steps == len(reference) - batched  # one arrival per step
+    assert not sched.stopped
 
 
 def test_unbounded_budget_carries_stop_predicate():

@@ -5,10 +5,14 @@ emits each signature with the first paragraph of its docstring.  Run
 after changing the public API::
 
     python tools/gen_api_docs.py
+
+``--check`` writes nothing and exits 1 when ``docs/api.md`` differs
+from what would be generated (CI's drift gate).
 """
 
 from __future__ import annotations
 
+import argparse
 import inspect
 import sys
 from collections import defaultdict
@@ -55,7 +59,14 @@ def describe(name: str, obj) -> list[str]:
     return lines
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="exit 1 if docs/api.md is out of date; write nothing",
+    )
+    args = parser.parse_args(argv)
     by_module: dict[str, list[str]] = defaultdict(list)
     for name in repro.__all__:
         obj = getattr(repro, name)
@@ -81,7 +92,14 @@ def main() -> int:
             out.extend(describe(name, getattr(repro, name)))
 
     target = Path(__file__).resolve().parent.parent / "docs" / "api.md"
-    target.write_text("\n".join(out))
+    text = "\n".join(out)
+    if args.check:
+        if not target.exists() or target.read_text() != text:
+            print(f"{target} is out of date: run python tools/gen_api_docs.py")
+            return 1
+        print(f"{target} is up to date")
+        return 0
+    target.write_text(text)
     print(f"wrote {target} ({len(out)} lines, {len(repro.__all__)} symbols)")
     return 0
 
