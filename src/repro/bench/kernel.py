@@ -29,6 +29,10 @@ oracle by at least :data:`MERGE_SPEEDUP_GATE` on identical triples,
 with at least :data:`MERGE_FLUSHED_FLOOR` of the input flushed; both
 are enforced gates, not advisory numbers.
 
+Repeats alternate the two sides of each comparison, and every ratio is
+taken between median walls; each side's interquartile range is
+recorded next to its median so a reader can judge the spread.
+
 Optionally (``--figure-check``) one full figure scenario is also run
 through both paths, cell by cell, and any triple mismatch fails
 the process — CI's cheap end-to-end equivalence gate.
@@ -36,7 +40,7 @@ the process — CI's cheap end-to-end equivalence gate.
 Usage::
 
     python -m repro.bench.kernel                  # 100k + 1M points
-    python -m repro.bench.kernel --tuples 20000 --repeats 1 \
+    python -m repro.bench.kernel --tuples 20000 --repeats 5 \
         --figure-check fig11 --out BENCH_kernel.json
 """
 
@@ -49,6 +53,8 @@ import sys
 import time
 from typing import Callable
 
+import numpy as np
+
 from repro.bench.cache import source_digest
 from repro.bench.grid import write_bench_manifest
 from repro.bench.runner import execute
@@ -56,6 +62,7 @@ from repro.bench.scale import BenchScale
 from repro.core.config import HMJConfig
 from repro.core.hmj import HashMergeJoin
 from repro.core.merging import MergeScheduler
+from repro.errors import SimulationError
 from repro.joins.pmj import ProgressiveMergeJoin
 from repro.joins.xjoin import XJoin
 from repro.metrics.recorder import MetricsRecorder
@@ -114,6 +121,22 @@ Triple = tuple[int, float, int]
 
 def _triple(result) -> Triple:
     return (result.recorder.count, result.clock.now, result.disk.io_count)
+
+
+def _keep_triple(triples: dict[str, Triple], label: str, triple: Triple, what: str) -> None:
+    """Record ``label``'s triple; a repeat that differs is a determinism failure."""
+    if triples.setdefault(label, triple) != triple:
+        raise SimulationError(f"non-deterministic {what}")
+
+
+def _walls_summary(walls: list[float]) -> dict:
+    """Median wall, its interquartile range, and every repeat's wall."""
+    q1, median, q3 = np.percentile(walls, [25, 50, 75])
+    return {
+        "wall_seconds": round(float(median), 6),
+        "wall_iqr": [round(float(q1), 6), round(float(q3), 6)],
+        "walls": [round(w, 6) for w in walls],
+    }
 
 
 def kernel_run(
@@ -227,8 +250,9 @@ def merge_point(tuples_total: int, repeats: int, seed: int) -> dict:
 
     The scalar generator is the conformance oracle; the columnar pass
     must reproduce its triple exactly and beat its wall clock by at
-    least :data:`MERGE_SPEEDUP_GATE`.  Gate outcomes are part of the
-    payload so the tracked artifact shows *why* a run failed.
+    least :data:`MERGE_SPEEDUP_GATE`, median against median.  Gate
+    outcomes are part of the payload so the tracked artifact shows
+    *why* a run failed.
     """
     walls: dict[str, list[float]] = {kind: [] for kind in MERGE_SCHEDULERS}
     triples: dict[str, Triple] = {}
@@ -237,11 +261,10 @@ def merge_point(tuples_total: int, repeats: int, seed: int) -> dict:
         for kind in MERGE_SCHEDULERS:
             triple, wall, flushed = merge_run(kind, tuples_total, seed)
             walls[kind].append(wall)
-            previous = triples.setdefault(kind, triple)
-            assert previous == triple, f"non-deterministic {kind} merge drain"
-    best = {kind: min(times) for kind, times in walls.items()}
+            _keep_triple(triples, kind, triple, f"{kind} merge drain")
+    summary = {kind: _walls_summary(times) for kind, times in walls.items()}
     flushed_fraction = flushed / tuples_total
-    speedup = best["scalar"] / best["columnar"]
+    speedup = summary["scalar"]["wall_seconds"] / summary["columnar"]["wall_seconds"]
     triples_match = len(set(triples.values())) == 1
     gate_passed = (
         triples_match
@@ -257,13 +280,7 @@ def merge_point(tuples_total: int, repeats: int, seed: int) -> dict:
             **MERGE_SHAPE,
         },
         "repeats": repeats,
-        **{
-            kind: {
-                "wall_seconds": round(best[kind], 6),
-                "walls": [round(w, 6) for w in walls[kind]],
-            }
-            for kind in MERGE_SCHEDULERS
-        },
+        **summary,
         "speedup_merge": round(speedup, 4),
         "triple": {
             "count": triples["scalar"][0],
@@ -331,8 +348,8 @@ def figure_check(figure_id: str) -> dict:
 def kernel_point(tuples_total: int, repeats: int, seed: int) -> dict:
     """Benchmark both delivery paths at one scale point.
 
-    Wall seconds are the best of ``repeats`` (the usual
-    micro-benchmark noise floor), and the identical-triple invariant
+    Wall seconds are the median of ``repeats`` (with the
+    interquartile range beside it), and the identical-triple invariant
     is part of the payload so any divergence is visible in the tracked
     artifact, not just in tests.
     """
@@ -348,9 +365,8 @@ def kernel_point(tuples_total: int, repeats: int, seed: int) -> dict:
         for label, batched in PATHS.items():
             triple, wall = kernel_run(rel_a, rel_b, memory, batched)
             walls[label].append(wall)
-            previous = triples.setdefault(label, triple)
-            assert previous == triple, f"non-deterministic {label} run"
-    best = {label: min(times) for label, times in walls.items()}
+            _keep_triple(triples, label, triple, f"{label} run")
+    summary = {label: _walls_summary(times) for label, times in walls.items()}
     return {
         "workload": {
             "arrival": "constant-rate",
@@ -361,15 +377,11 @@ def kernel_point(tuples_total: int, repeats: int, seed: int) -> dict:
             "seed": seed,
         },
         "repeats": repeats,
-        **{
-            label: {
-                "wall_seconds": round(best[label], 6),
-                "walls": [round(w, 6) for w in walls[label]],
-            }
-            for label in PATHS
-        },
+        **summary,
         # per-tuple -> columnar: the end-to-end amortisation.
-        "speedup": round(best["per_tuple"] / best["columnar"], 4),
+        "speedup": round(
+            summary["per_tuple"]["wall_seconds"] / summary["columnar"]["wall_seconds"], 4
+        ),
         "triple": {
             "count": triples["per_tuple"][0],
             "final_clock": triples["per_tuple"][1],
@@ -421,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats, best kept"
+        "--repeats", type=int, default=3, help="interleaved timing repeats, medians kept"
     )
     parser.add_argument("--seed", type=int, default=7, help="workload seed")
     parser.add_argument(

@@ -18,20 +18,20 @@ the test suite against blocking oracle joins.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import SimulationError
 from repro.core.columnar import ColumnBatch, run_columnar_batch
 from repro.core.config import HMJConfig
 from repro.core.hashing import DualHashTable
 from repro.core.merging import MergeScheduler
-from typing import Sequence
-
-from repro.joins.base import StreamingJoinOperator
+from repro.joins.base import SymmetricHashStage
 from repro.sim.budget import WorkBudget
 from repro.storage.memory import MemoryPool
 from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple, sort_columns_by_key
 
 
-class HashMergeJoin(StreamingJoinOperator):
+class HashMergeJoin(SymmetricHashStage):
     """The paper's non-blocking Hash-Merge Join."""
 
     name = "HMJ"
@@ -42,12 +42,9 @@ class HashMergeJoin(StreamingJoinOperator):
     def __init__(self, config: HMJConfig) -> None:
         super().__init__()
         self.config = config
-        self._memory: MemoryPool | None = None
-        self._table: DualHashTable | None = None
         self._scheduler: MergeScheduler | None = None
         self.flush_count = 0
         self.hot_split_count = 0
-        self.peak_imbalance = 0
 
     def _setup(self) -> None:
         cfg = self.config
@@ -72,49 +69,12 @@ class HashMergeJoin(StreamingJoinOperator):
         )
         cfg.policy.prepare(cfg.memory_capacity, cfg.n_groups)
 
-    # -- convenience accessors (valid after bind) ------------------------
-
-    @property
-    def memory(self) -> MemoryPool:
-        """The operator's memory budget."""
-        return self._bound(self._memory)
-
-    @property
-    def table(self) -> DualHashTable:
-        """The in-memory dual hash table."""
-        return self._bound(self._table)
-
     @property
     def scheduler(self) -> MergeScheduler:
         """The merging-phase scheduler."""
         return self._bound(self._scheduler)
 
     # -- protocol ---------------------------------------------------------
-
-    def on_tuple(self, t: Tuple) -> None:
-        """Hashing phase, Figure 3: flush if needed, probe, store.
-
-        This is the per-tuple hot path: it uses the fused
-        :meth:`~repro.core.hashing.DualHashTable.probe_insert` (one
-        hash computation, no allocation on empty probes) and the O(1)
-        running-totals imbalance — the clock charges and emission order
-        are identical to the naive probe/emit/insert sequence, so the
-        pinned determinism triples are unaffected.
-        """
-        self.charge_tuple()
-        memory = self._bound(self._memory)
-        table = self._bound(self._table)
-        while not memory.has_room(1):
-            self._flush_victims()
-        matches, candidates, _ = table.probe_insert(t)
-        self.charge_probe(candidates)
-        if matches:
-            for match in matches:
-                self.emit(t, match, self.PHASE_HASHING)
-        memory.allocate(1)
-        imbalance = table.summary.imbalance()
-        if imbalance > self.peak_imbalance:
-            self.peak_imbalance = imbalance
 
     def on_column_batch(self, batch: ColumnBatch) -> None:
         """Array-native hashing loop over one columnar delivery batch.
@@ -127,15 +87,14 @@ class HashMergeJoin(StreamingJoinOperator):
         equivalence suite).  Subclasses that customise :meth:`on_tuple`
         are replayed through it instead.
         """
-        if type(self).on_tuple is not HashMergeJoin.on_tuple:
-            super().on_column_batch(batch)
+        if self._replayed(batch):
             return
         run_columnar_batch(
             self,
             batch,
             table=self.table,
             memory=self.memory,
-            flush=self._flush_victims,
+            flush=self._flush,
             phase=self.PHASE_HASHING,
         )
 
@@ -146,11 +105,6 @@ class HashMergeJoin(StreamingJoinOperator):
     def on_blocked(self, budget: WorkBudget) -> None:
         """Both sources blocked: run the merging phase until one wakes."""
         self.scheduler.work(budget)
-
-    def memory_usage(self) -> tuple[int, int] | None:
-        if self._memory is None:
-            return None
-        return (self._memory.used, self._memory.capacity)
 
     def spilled_unmerged(self) -> bool:
         """Flushed block pairs remain until the merge scheduler drains."""
@@ -172,20 +126,13 @@ class HashMergeJoin(StreamingJoinOperator):
     def resize_memory(self, new_capacity: int) -> None:
         """Adapt to a changed memory grant while running.
 
-        Growing simply raises the budget.  Shrinking flushes victim
-        group pairs (through the configured policy, charging the usual
-        sort and I/O costs) until the resident set fits, then lowers
-        the budget and re-resolves the policy's auto thresholds for the
-        new ``M`` — correctness is unaffected either way (the flushed
-        pairs are merged like any other).
+        Runs the shared resize — shrinking flushes victim group pairs,
+        charging the usual sort and I/O costs — then re-resolves the
+        policy's auto thresholds for the new ``M``.  Correctness is
+        unaffected either way (the flushed pairs are merged like any
+        other).
         """
-        if new_capacity < 2:
-            raise SimulationError(
-                f"memory_capacity must be >= 2, got {new_capacity}"
-            )
-        while self.memory.used > new_capacity:
-            self._flush_victims()
-        self.memory.resize(new_capacity)
+        super().resize_memory(new_capacity)
         self.config.policy.prepare(new_capacity, self.config.n_groups)
 
     def import_hash_state(self, tuples: Sequence[Tuple]) -> None:
@@ -226,7 +173,7 @@ class HashMergeJoin(StreamingJoinOperator):
                 self.log_event("import-spill", group=group, tuples=len(ts))
                 continue
             while not memory.has_room(len(ts)):
-                self._flush_victims()
+                self._flush()
             for t in ts:
                 table.insert(t)
             memory.allocate(len(ts))
@@ -254,7 +201,7 @@ class HashMergeJoin(StreamingJoinOperator):
 
     # -- internals ----------------------------------------------------------
 
-    def _flush_victims(self) -> None:
+    def _flush(self) -> None:
         """Evict the policy's chosen bucket-group pair(s) to disk."""
         victims = self.config.policy.select_victims(self.table.summary)
         freed = 0

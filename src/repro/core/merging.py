@@ -107,7 +107,7 @@ class MergeScheduler:
         self._input_ended = False
         self._journal = journal
         self._journal_actor = partition_prefix
-        self._recorder = recorder
+        self._recorder: MetricsRecorder = recorder
         self._emit_phase = emit_phase
         self._emit_guard = emit_guard if emit_guard is not None else _no_guard
         self._tuples_flushed = 0
@@ -435,7 +435,6 @@ class _ColumnarMergePass:
         clock = sched._clock
         costs = sched._costs
         recorder = sched._recorder
-        assert recorder is not None
         guard = sched._emit_guard
         phase = sched._emit_phase
         page = costs.page_size

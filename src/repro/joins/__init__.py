@@ -16,10 +16,12 @@ Implemented from scratch per the paper's Section 2 taxonomy:
 * :mod:`~repro.joins.blocking` — classical blocking joins used as
   correctness oracles.
 
-The Hash-Merge Join itself lives in :mod:`repro.core`.
+SHJ, XJoin and DPHJ share one hashing step with HMJ:
+:class:`~repro.joins.base.SymmetricHashStage`.  The Hash-Merge Join
+itself lives in :mod:`repro.core`.
 """
 
-from repro.joins.base import JoinRuntime, StreamingJoinOperator
+from repro.joins.base import JoinRuntime, StreamingJoinOperator, SymmetricHashStage
 from repro.joins.blocking import (
     grace_hash_join,
     hash_join,
@@ -39,6 +41,7 @@ __all__ = [
     "RippleJoin",
     "StreamingJoinOperator",
     "SymmetricHashJoin",
+    "SymmetricHashStage",
     "XJoin",
     "XJoinStaticMemory",
     "grace_hash_join",

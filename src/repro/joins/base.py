@@ -24,17 +24,19 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, TypeVar
 
-from repro.errors import ProtocolError
-from repro.storage.tuples import Tuple, make_result
+from repro.errors import ProtocolError, SimulationError
+from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple, make_result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.columnar import ColumnBatch
+    from repro.core.hashing import DualHashTable
     from repro.metrics.recorder import MetricsRecorder
     from repro.sim.budget import WorkBudget
     from repro.sim.clock import VirtualClock
     from repro.sim.costs import CostModel
     from repro.sim.journal import SimulationJournal
     from repro.storage.disk import SimulatedDisk
+    from repro.storage.memory import MemoryPool
 
 _T = TypeVar("_T")
 
@@ -71,9 +73,9 @@ class StreamingJoinOperator(abc.ABC):
         self._runtime: JoinRuntime | None = None
         self._finished = False
         #: Largest |size(A-side) - size(B-side)| observed in the hash
-        #: tables.  Maintained by the hashing-phase operators (HMJ,
-        #: XJoin) and by the shared columnar batch loop; declared here
-        #: so array-native helpers can read it through the base type.
+        #: tables.  Maintained by the :class:`SymmetricHashStage` step
+        #: and by the shared columnar batch loop; declared here so
+        #: array-native helpers can read it through the base type.
         self.peak_imbalance: int = 0
 
     # -- lifecycle -----------------------------------------------------
@@ -304,3 +306,135 @@ class StreamingJoinOperator(abc.ABC):
     def mark_finished(self) -> None:
         """Record that ``finish`` completed (further emits are errors)."""
         self._finished = True
+
+
+class SymmetricHashStage(StreamingJoinOperator):
+    """The symmetric-hash hashing step of Figure 3 (Section 3.1).
+
+    Charge the tuple, let the flushing policy make room, probe the
+    opposite source's bucket, emit, and store.  SHJ, XJoin, DPHJ and
+    HMJ all run this one step over a dual hash table and a memory pool
+    that their :meth:`_setup` builds; each supplies its flush step
+    (:meth:`_flush`) and phase label (``PHASE_HASHING``), and XJoin its
+    per-row bookkeeping (:meth:`_record_row`).
+
+    The columnar driver (:func:`~repro.core.columnar.run_columnar_batch`)
+    reproduces this step with the pool-wide room rule, so a subclass
+    that customises :meth:`on_tuple` or :meth:`_make_room` has its
+    batches replayed per tuple instead (:meth:`_replayed`).
+    """
+
+    #: Phase label of results the hashing step emits.
+    PHASE_HASHING: str
+
+    #: Whether column batches must be replayed through on_tuple.
+    _replays_batches = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Decided at class creation, so wrapping the inherited step on
+        # the class (a tracer, say) keeps the columnar path.
+        if "on_tuple" in vars(cls) or "_make_room" in vars(cls):
+            cls._replays_batches = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._table: DualHashTable | None = None
+        self._memory: MemoryPool | None = None
+
+    @property
+    def table(self) -> DualHashTable:
+        """The in-memory dual hash table."""
+        return self._bound(self._table)
+
+    @property
+    def memory(self) -> MemoryPool:
+        """The operator's memory budget."""
+        return self._bound(self._memory)
+
+    def memory_usage(self) -> tuple[int, int] | None:
+        if self._memory is None:
+            return None
+        return (self._memory.used, self._memory.capacity)
+
+    def on_tuple(self, t: Tuple) -> None:
+        """Charge, make room, probe, emit, store (Figure 3, Steps 1-4).
+
+        The per-event hot path: :meth:`charge_tuple` and
+        :meth:`charge_probe` are inlined (the same expressions, so the
+        clock stays bit-identical).
+        """
+        runtime = self.runtime
+        clock = runtime.clock
+        costs = runtime.costs
+        table = self._bound(self._table)
+        memory = self._bound(self._memory)
+        clock.advance(costs.cpu_tuple_cost)
+        self._make_room(t)
+        matches, candidates, bucket = table.probe_insert(t)
+        self._record_row(t, bucket)
+        if candidates:
+            clock.advance(costs.probe_time(candidates))
+        for match in matches:
+            self.emit(t, match, self.PHASE_HASHING)
+        memory.allocate(1)
+        imbalance = table.summary.imbalance()
+        if imbalance > self.peak_imbalance:
+            self.peak_imbalance = imbalance
+
+    def _make_room(self, t: Tuple) -> None:
+        """Flush until one more tuple fits the pool (Step 1)."""
+        memory = self._bound(self._memory)
+        while not memory.has_room(1):
+            self._flush()
+
+    @abc.abstractmethod
+    def _flush(self) -> None:
+        """Free memory in a full pool: the flushing policy."""
+
+    def _record_row(self, t: Tuple, bucket: int) -> None:
+        """Bookkeeping for ``t``, just probed and stored in ``bucket``.
+
+        Runs before the probe charge: ``clock.now`` is the instant the
+        tuple entered memory.
+        """
+
+    def _replayed(self, batch: "ColumnBatch") -> bool:
+        """Replay ``batch`` per tuple if the columnar driver cannot.
+
+        Returns True after replaying it through the base
+        :meth:`on_column_batch`; False, doing nothing, otherwise.
+        """
+        if not self._replays_batches:
+            return False
+        super().on_column_batch(batch)
+        return True
+
+    def resize_memory(self, new_capacity: int) -> None:
+        """Adapt to a changed memory grant while running.
+
+        Shrinking runs the flush step until the resident set fits;
+        growing only raises the budget.  Operators that do not
+        advertise :attr:`supports_memory_resize` reject the call.
+        """
+        if not self.supports_memory_resize:
+            super().resize_memory(new_capacity)
+        if new_capacity < 2:
+            raise SimulationError(
+                f"memory_capacity must be >= 2, got {new_capacity}"
+            )
+        memory = self.memory
+        while memory.used > new_capacity:
+            self._flush()
+        memory.resize(new_capacity)
+
+    def _drain_table(self) -> list[Tuple]:
+        """Extract every resident tuple, group by group, freeing memory."""
+        table = self.table
+        drained: list[Tuple] = []
+        for group in range(table.n_groups):
+            drained += table.extract_group(SOURCE_A, group)
+            drained += table.extract_group(SOURCE_B, group)
+        if drained:
+            self.memory.release(len(drained))
+        return drained

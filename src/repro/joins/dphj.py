@@ -25,7 +25,6 @@ class DoublePipelinedHashJoin(XJoin):
     """Two-stage symmetric hash join with deferred disk cleanup."""
 
     name = "DPHJ"
-    PHASE_STAGE1 = "stage1"
     PHASE_STAGE3 = "stage2-disk"
 
     def has_background_work(self) -> bool:
@@ -45,7 +44,7 @@ class DoublePipelinedHashJoin(XJoin):
         """
         return not self.finished and self.flush_count > 0
 
-    def _flush_largest_bucket(self) -> None:
+    def _flush(self) -> None:
         """Flush the largest bucket of the *more loaded* source.
 
         Keeps some balance between sources without the synchronised
@@ -53,18 +52,4 @@ class DoublePipelinedHashJoin(XJoin):
         """
         summary = self.table.summary
         source = SOURCE_A if summary.total_a >= summary.total_b else SOURCE_B
-        _, best_bucket = self.table.largest_bucket(source)
-        if not self.table.bucket_size(source, best_bucket):
-            # The loaded source has nothing? Fall back to global largest.
-            super()._flush_largest_bucket()
-            return
-        tuples = self.table.extract_group(source, best_bucket)
-        partition = self._partition_name(source, best_bucket)
-        block_id = len(self.disk.partition(partition).blocks)
-        self.disk.write_block(partition, tuples, block_id, sorted_by_key=False)
-        now = self.clock.now
-        for t in tuples:
-            self._dts[t.identity()] = now
-        self.memory.release(len(tuples))
-        self.flush_count += 1
-        self.log_event("flush", source=source, bucket=best_bucket, n=len(tuples))
+        self._flush_bucket(*self.table.largest_bucket(source))

@@ -9,15 +9,17 @@ limitation HMJ, XJoin, and DPHJ all exist to lift.
 
 from __future__ import annotations
 
+import sys
+
 from repro.errors import MemoryBudgetError
 from repro.core.hashing import DualHashTable
-from repro.joins.base import StreamingJoinOperator
+from repro.joins.base import SymmetricHashStage
 from repro.sim.budget import WorkBudget
 from repro.storage.memory import MemoryPool
-from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
+from repro.storage.tuples import Tuple
 
 
-class SymmetricHashJoin(StreamingJoinOperator):
+class SymmetricHashJoin(SymmetricHashStage):
     """Pure in-memory pipelined hash join.
 
     Args:
@@ -30,56 +32,36 @@ class SymmetricHashJoin(StreamingJoinOperator):
     """
 
     name = "SHJ"
-    PHASE = "hashing"
+    PHASE = PHASE_HASHING = "hashing"
 
     def __init__(self, n_buckets: int = 64, memory_capacity: int | None = None) -> None:
         super().__init__()
         self._n_buckets = n_buckets
         self._capacity = memory_capacity
-        self._table: DualHashTable | None = None
-        self._memory: MemoryPool | None = None
 
     def _setup(self) -> None:
         self._table = DualHashTable(self._n_buckets, n_groups=1)
-        if self._capacity is not None:
-            self._memory = MemoryPool(self._capacity)
+        # Unbounded: a pool no workload can fill.
+        capacity = sys.maxsize if self._capacity is None else self._capacity
+        self._memory = MemoryPool(capacity)
 
-    @property
-    def table(self) -> DualHashTable:
-        """The in-memory dual hash table."""
-        return self._bound(self._table)
-
-    def on_tuple(self, t: Tuple) -> None:
-        self.charge_tuple()
-        if self._memory is not None and not self._memory.has_room(1):
-            raise MemoryBudgetError(
-                "symmetric hash join exceeded its memory budget; it has no "
-                "flushing mechanism — use HashMergeJoin or XJoin instead"
-            )
-        matches, candidates = self.table.probe(t)
-        self.charge_probe(candidates)
-        for match in matches:
-            self.emit(t, match, self.PHASE)
-        self.table.insert(t)
-        if self._memory is not None:
-            self._memory.allocate(1)
+    def _flush(self) -> None:
+        """SHJ cannot flush: a full budget is an error."""
+        raise MemoryBudgetError(
+            "symmetric hash join exceeded its memory budget; it has no "
+            "flushing mechanism — use HashMergeJoin or XJoin instead"
+        )
 
     def export_hash_state(self) -> list[Tuple] | None:
         """Drain both in-memory tables for a morph target.
 
         SHJ's whole state is memory-resident (its defining limitation),
         so a handover is always consistent: every match among the
-        exported tuples was emitted on arrival.  Extraction empties the
-        single bucket group of each source and releases the budget.
+        exported tuples was emitted on arrival.
         """
-        table = self._table
-        if table is None:
+        if self._table is None:
             return None
-        exported = table.extract_group(SOURCE_A, 0)
-        exported += table.extract_group(SOURCE_B, 0)
-        if self._memory is not None and exported:
-            self._memory.release(len(exported))
-        return exported
+        return self._drain_table()
 
     def has_background_work(self) -> bool:
         return False
@@ -88,9 +70,10 @@ class SymmetricHashJoin(StreamingJoinOperator):
         """No disk-resident state: blocked time produces nothing."""
 
     def memory_usage(self) -> tuple[int, int] | None:
-        if self._memory is None:
+        """``None`` when unbounded: there is no grant to check."""
+        if self._capacity is None:
             return None
-        return (self._memory.used, self._memory.capacity)
+        return super().memory_usage()
 
     def finish(self, budget: WorkBudget) -> None:
         """Everything was already produced in memory."""

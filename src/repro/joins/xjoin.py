@@ -43,7 +43,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.core.columnar import ColumnBatch, run_columnar_batch
 from repro.core.hashing import BatchProbeResult, DualHashTable
-from repro.joins.base import StreamingJoinOperator
+from repro.joins.base import SymmetricHashStage
 from repro.sim.budget import WorkBudget
 from repro.storage.memory import MemoryPool
 from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
@@ -51,12 +51,12 @@ from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
 _INF = math.inf
 
 
-class XJoin(StreamingJoinOperator):
+class XJoin(SymmetricHashStage):
     """The three-stage reactively scheduled hash join."""
 
     name = "XJoin"
     supports_memory_resize = True
-    PHASE_STAGE1 = "stage1"
+    PHASE_STAGE1 = PHASE_HASHING = "stage1"
     PHASE_STAGE2 = "stage2"
     PHASE_STAGE3 = "stage3"
 
@@ -85,8 +85,6 @@ class XJoin(StreamingJoinOperator):
         self._capacity = memory_capacity
         self._n_buckets = n_buckets
         self._duplicate_mode = duplicate_mode
-        self._table: DualHashTable | None = None
-        self._memory: MemoryPool | None = None
         # Timestamp bookkeeping: arrival (ATS) and flush (DTS) instants.
         self._ats: dict[tuple[str, int], float] = {}
         self._dts: dict[tuple[str, int], float] = {}
@@ -101,7 +99,6 @@ class XJoin(StreamingJoinOperator):
         self._insert_counts: dict[tuple[str, int], int] = {}
         self._stage2_active: Iterator[None] | None = None
         self.flush_count = 0
-        self.peak_imbalance = 0
 
     def _setup(self) -> None:
         # One group per bucket: XJoin flushes at single-bucket
@@ -109,35 +106,13 @@ class XJoin(StreamingJoinOperator):
         self._table = DualHashTable(self._n_buckets, n_groups=self._n_buckets)
         self._memory = MemoryPool(self._capacity)
 
-    @property
-    def table(self) -> DualHashTable:
-        """The in-memory dual hash table."""
-        return self._bound(self._table)
-
-    @property
-    def memory(self) -> MemoryPool:
-        """The operator's memory budget."""
-        return self._bound(self._memory)
-
     # -- stage 1 ------------------------------------------------------------
 
-    def on_tuple(self, t: Tuple) -> None:
-        self.charge_tuple()
-        while not self.memory.has_room(1):
-            self._flush_largest_bucket()
+    def _record_row(self, t: Tuple, bucket: int) -> None:
+        """Stamp ``t``'s arrival (ATS) and count the insert into ``bucket``."""
         self._ats[t.identity()] = self.clock.now
-        # Fused probe/insert hot path: one hash computation per tuple,
-        # same charge and emission order as the naive sequence.
-        matches, candidates, bucket = self.table.probe_insert(t)
-        self.charge_probe(candidates)
-        for match in matches:
-            self.emit(t, match, self.PHASE_STAGE1)
-        self.memory.allocate(1)
         key = (t.source, bucket)
         self._insert_counts[key] = self._insert_counts.get(key, 0) + 1
-        imbalance = self.table.summary.imbalance()
-        if imbalance > self.peak_imbalance:
-            self.peak_imbalance = imbalance
 
     def on_column_batch(self, batch: ColumnBatch) -> None:
         """Array-native stage-1 loop over one columnar delivery batch.
@@ -145,14 +120,13 @@ class XJoin(StreamingJoinOperator):
         The shared :func:`~repro.core.columnar.run_columnar_batch`
         driver with XJoin's flush policy, plus the per-row bookkeeping
         stage 1 needs: the driver hands back each segment's post-charge
-        row instants (the ATS values :meth:`on_tuple` records from the
+        row instants (the ATS values :meth:`_record_row` takes from the
         live clock) and the probe plan's per-bucket insert runs (the
-        stage-2 version counters).  Subclasses that customise
-        :meth:`on_tuple` — the static-memory variant does — are
-        replayed through it instead.
+        stage-2 version counters).  Subclasses the driver cannot
+        reproduce — the static-memory variant, with its per-source
+        halves — are replayed through :meth:`on_tuple` instead.
         """
-        if type(self).on_tuple is not XJoin.on_tuple:
-            super().on_column_batch(batch)
+        if self._replayed(batch):
             return
         ats = self._ats
         insert_counts = self._insert_counts
@@ -189,19 +163,36 @@ class XJoin(StreamingJoinOperator):
             batch,
             table=self.table,
             memory=self.memory,
-            flush=self._flush_largest_bucket,
-            phase=self.PHASE_STAGE1,
+            flush=self._flush,
+            phase=self.PHASE_HASHING,
             on_segment=record_segment,
         )
 
-    def _flush_largest_bucket(self) -> None:
+    def _flush(self) -> None:
         """Flush the single largest bucket of either source, unsorted."""
-        source, bucket = self.table.largest_bucket()
+        self._flush_bucket(*self.table.largest_bucket())
+
+    def _flush_bucket(self, source: str, bucket: int) -> None:
+        """Spill one chosen bucket as a counted, journaled flush."""
+        n = self._spill_bucket(source, bucket)
+        if not n:
+            raise ConfigurationError(
+                f"memory is full but source {source}'s largest bucket is "
+                "empty (corrupt accounting)"
+            )
+        self.flush_count += 1
+        self.log_event("flush", source=source, bucket=bucket, n=n)
+
+    def _spill_bucket(self, source: str, bucket: int) -> int:
+        """Write one bucket, unsorted, to its disk partition.
+
+        Stamps each spilled tuple's departure (DTS) at the instant the
+        write completed and releases its memory.  Returns the number of
+        tuples spilled (0 for an empty bucket, which touches no disk).
+        """
         tuples = self.table.extract_group(source, bucket)
         if not tuples:
-            raise ConfigurationError(
-                "memory is full but every bucket is empty (corrupt accounting)"
-            )
+            return 0
         partition = self._partition_name(source, bucket)
         block_id = len(self.disk.partition(partition).blocks)
         self.disk.write_block(partition, tuples, block_id, sorted_by_key=False)
@@ -209,18 +200,7 @@ class XJoin(StreamingJoinOperator):
         for t in tuples:
             self._dts[t.identity()] = now
         self.memory.release(len(tuples))
-        self.flush_count += 1
-        self.log_event("flush", source=source, bucket=bucket, n=len(tuples))
-
-    def resize_memory(self, new_capacity: int) -> None:
-        """Adapt to a changed memory grant (flush-largest until it fits)."""
-        if new_capacity < 2:
-            raise ConfigurationError(
-                f"memory_capacity must be >= 2, got {new_capacity}"
-            )
-        while self.memory.used > new_capacity:
-            self._flush_largest_bucket()
-        self.memory.resize(new_capacity)
+        return len(tuples)
 
     def export_hash_state(self) -> list[Tuple] | None:
         """Drain the in-memory tables for a morph target, if possible.
@@ -232,18 +212,9 @@ class XJoin(StreamingJoinOperator):
         without either losing or duplicating results.  Returns ``None``
         in that case and the morph is declined.
         """
-        if self.flush_count or self._stage2_active is not None:
+        if self.flush_count or self._stage2_active is not None or self._table is None:
             return None
-        table = self._table
-        if table is None:
-            return None
-        exported: list[Tuple] = []
-        for group in range(table.n_groups):
-            exported += table.extract_group(SOURCE_A, group)
-            exported += table.extract_group(SOURCE_B, group)
-        if exported:
-            self.memory.release(len(exported))
-        return exported
+        return self._drain_table()
 
     # -- stage 2 ------------------------------------------------------------
 
@@ -251,11 +222,6 @@ class XJoin(StreamingJoinOperator):
         if self._stage2_active is not None:
             return True
         return self._pick_stage2() is not None
-
-    def memory_usage(self) -> tuple[int, int] | None:
-        if self._memory is None:
-            return None
-        return (self._memory.used, self._memory.capacity)
 
     def spilled_unmerged(self) -> bool:
         """A suspended stage-2 pass holds disk pairs mid-emission.
@@ -371,16 +337,7 @@ class XJoin(StreamingJoinOperator):
     def _flush_all_memory(self) -> None:
         for source in (SOURCE_A, SOURCE_B):
             for bucket in range(self._n_buckets):
-                tuples = self.table.extract_group(source, bucket)
-                if not tuples:
-                    continue
-                partition = self._partition_name(source, bucket)
-                block_id = len(self.disk.partition(partition).blocks)
-                self.disk.write_block(partition, tuples, block_id, sorted_by_key=False)
-                now = self.clock.now
-                for t in tuples:
-                    self._dts[t.identity()] = now
-                self.memory.release(len(tuples))
+                self._spill_bucket(source, bucket)
 
     def _stage3_bucket(self, bucket: int, budget: WorkBudget) -> bool:
         """Join the A and B disk partitions of one bucket."""
@@ -489,50 +446,22 @@ class XJoinStaticMemory(XJoin):
     def _setup(self) -> None:
         super()._setup()
         half = max(1, self._capacity // 2)
-        self._side_used = {SOURCE_A: 0, SOURCE_B: 0}
         self._side_capacity = {SOURCE_A: half, SOURCE_B: self._capacity - half}
 
-    def on_tuple(self, t: Tuple) -> None:
-        self.charge_tuple()
-        while self._side_used[t.source] >= self._side_capacity[t.source]:
-            self._flush_largest_bucket_of(t.source)
-        self._ats[t.identity()] = self.clock.now
-        matches, candidates, bucket = self.table.probe_insert(t)
-        self.charge_probe(candidates)
-        for match in matches:
-            self.emit(t, match, self.PHASE_STAGE1)
-        self.memory.allocate(1)
-        self._side_used[t.source] += 1
-        key = (t.source, bucket)
-        self._insert_counts[key] = self._insert_counts.get(key, 0) + 1
-        imbalance = self.table.summary.imbalance()
-        if imbalance > self.peak_imbalance:
-            self.peak_imbalance = imbalance
+    @property
+    def _side_used(self) -> dict[str, int]:
+        """Resident tuples per source: the hash table's running totals."""
+        summary = self.table.summary
+        return {SOURCE_A: summary.total_a, SOURCE_B: summary.total_b}
 
-    def _flush_largest_bucket_of(self, source: str) -> None:
-        """Flush the overflowing side's largest bucket, unsorted."""
-        _, best_bucket = self.table.largest_bucket(source)
-        tuples = self.table.extract_group(source, best_bucket)
-        if not tuples:
-            raise ConfigurationError(
-                f"source {source} memory is full but its buckets are empty"
-            )
-        partition = self._partition_name(source, best_bucket)
-        block_id = len(self.disk.partition(partition).blocks)
-        self.disk.write_block(partition, tuples, block_id, sorted_by_key=False)
-        now = self.clock.now
-        for t in tuples:
-            self._dts[t.identity()] = now
-        self.memory.release(len(tuples))
-        self._side_used[source] -= len(tuples)
-        self.flush_count += 1
-        self.log_event("flush", source=source, bucket=best_bucket, n=len(tuples))
-
-    def _flush_all_memory(self) -> None:
-        super()._flush_all_memory()
-        self._side_used = {SOURCE_A: 0, SOURCE_B: 0}
+    def _make_room(self, t: Tuple) -> None:
+        """Flush the arriving source's largest bucket while its half is full."""
+        source = t.source
+        while self._side_used[source] >= self._side_capacity[source]:
+            self._flush_bucket(*self.table.largest_bucket(source))
 
     def resize_memory(self, new_capacity: int) -> None:
+        """Rejected: the per-source halves are fixed at construction."""
         raise ConfigurationError(
             "XJoinStaticMemory has fixed per-source halves; use XJoin for "
             "runtime memory adaptation"

@@ -8,13 +8,18 @@ speedup (the full-scale run and its ≥2x gate live in
 
 from __future__ import annotations
 
+import pytest
+
 from repro.bench.kernel import (
     MERGE_FLUSHED_FLOOR,
     MERGE_SCHEDULERS,
     MERGE_SPEEDUP_GATE,
+    _keep_triple,
+    _walls_summary,
     merge_point,
     merge_run,
 )
+from repro.errors import SimulationError
 
 
 def test_merge_run_paths_agree_on_triple_and_flushed():
@@ -46,3 +51,19 @@ def test_merge_point_schema_and_gate_accounting():
     # scale only its deterministic inputs are assertable.
     assert point["speedup_merge"] > 0
     assert isinstance(point["gate_passed"], bool)
+
+
+def test_walls_summary_reports_median_and_iqr():
+    summary = _walls_summary([0.4, 0.1, 0.3, 0.2, 9.0])
+    # One slow outlier moves neither the median nor the quartiles far.
+    assert summary["wall_seconds"] == 0.3
+    assert summary["wall_iqr"] == [0.2, 0.4]
+    assert summary["walls"] == [0.4, 0.1, 0.3, 0.2, 9.0]
+
+
+def test_differing_repeat_triple_raises_typed_error():
+    triples = {}
+    _keep_triple(triples, "columnar", (1, 2.0, 3), "columnar run")
+    _keep_triple(triples, "columnar", (1, 2.0, 3), "columnar run")
+    with pytest.raises(SimulationError, match="non-deterministic columnar run"):
+        _keep_triple(triples, "columnar", (1, 2.5, 3), "columnar run")

@@ -1,18 +1,18 @@
 """Delivery-path equivalence: per-tuple vs batched.
 
-Run-batch delivery (``EventScheduler`` batch groups) is an
+Run-batch delivery (the kernel's ``deliver_run`` callback) is an
 amortisation, never a simulation change.  Operators with a columnar
 path receive each run as :class:`~repro.core.columnar.ColumnBatch`
 arrays (vectorized run extraction included); the rest, and subclasses
 that override ``on_tuple``, replay the boxed run through ``on_tuple``.
 For any workload both kernel paths must produce the identical
 ``(count, final clock, io)`` triple *and* the identical result-event
-sequence.  This suite pins that equivalence three ways:
+sequence.  This suite pins that equivalence five ways:
 
 * every cell of the six pinned figure benchmarks (the exact scenarios
-  ``test_determinism.py`` captures) through both paths, plus the two
-  operators that reach batches only through the boxed replay (the
-  static-memory XJoin variant and DPHJ);
+  ``test_determinism.py`` captures) through both paths, plus the rest
+  of the symmetric-hash family: DPHJ (columnar, through XJoin's
+  driver), and the static-memory XJoin variant and SHJ (boxed replay);
 * a randomized property test over arrival models (constant / Poisson /
   Pareto), tiny memory budgets that force flushing mid-run (segmented
   columnar batches with mid-batch flush points), and early stops that
@@ -20,8 +20,10 @@ sequence.  This suite pins that equivalence three ways:
 * an explicit ``stop_after`` granularity check: the batched path must
   halt after the same number of delivered tuples as the per-tuple path,
   not at the end of the batch the stop fired in;
-* and side labelling: a row plays the side of its relation's label on
-  both paths, whichever engine slot its source occupies.
+* side labelling: a row plays the side of its relation's label on
+  both paths, whichever engine slot its source occupies;
+* and the replay guard: a subclass that overrides ``on_tuple`` sees
+  every arrival through its override on the batched path too.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.core.flushing import FlushSmallestPolicy
 from repro.core.hmj import HashMergeJoin
 from repro.joins.dphj import DoublePipelinedHashJoin
 from repro.joins.pmj import ProgressiveMergeJoin
+from repro.joins.symmetric_hash import SymmetricHashJoin
 from repro.joins.xjoin import XJoin, XJoinStaticMemory
 from repro.net.arrival import ConstantRate, ParetoArrival, PoissonArrival
 from repro.errors import ConfigurationError
@@ -137,9 +140,13 @@ def _figure_cells():
             lambda: ProgressiveMergeJoin(memory_capacity=memory), _burst, _burst,
             {"blocking_threshold": BLOCKING_T},
         ),
-        # Boxed-replay operators: the static-memory variant overrides
-        # on_tuple, so its columnar batches go through the base
-        # to_tuples -> on_tuple_batch replay; DPHJ has no columnar path.
+        # The rest of the symmetric-hash family.  DPHJ inherits XJoin's
+        # step and columnar driver with its own flush step; the
+        # static-memory variant's per-source halves do not fit the
+        # driver's free-slot segments, and SHJ has no columnar path, so
+        # their batches go through the base to_tuples -> on_tuple_batch
+        # replay.
+        "fig11-shj": (lambda: SymmetricHashJoin(), _fast, _fast, {}),
         "fig11-xjoin-static": (
             lambda: XJoinStaticMemory(memory_capacity=memory), _fast, _fast, {},
         ),
@@ -173,6 +180,16 @@ _ARRIVALS = {
     "pareto": lambda: ParetoArrival(800.0, shape=1.5),
 }
 
+#: The symmetric-hash family, each built for a drawn memory budget
+#: (SHJ runs unbounded: it has no flushing).
+_RANDOM_OPERATORS = {
+    "hmj": lambda memory: HashMergeJoin(HMJConfig(memory_capacity=memory)),
+    "xjoin": lambda memory: XJoin(memory_capacity=memory),
+    "dphj": lambda memory: DoublePipelinedHashJoin(memory_capacity=memory),
+    "xjoin-static": lambda memory: XJoinStaticMemory(memory_capacity=memory),
+    "shj": lambda memory: SymmetricHashJoin(),
+}
+
 
 @given(
     n=st.integers(min_value=20, max_value=120),
@@ -182,7 +199,7 @@ _ARRIVALS = {
     kind_b=st.sampled_from(sorted(_ARRIVALS)),
     memory=st.integers(min_value=4, max_value=16),
     stop_after=st.none() | st.integers(min_value=1, max_value=40),
-    op_kind=st.sampled_from(["hmj", "xjoin"]),
+    op_kind=st.sampled_from(sorted(_RANDOM_OPERATORS)),
 )
 def test_batched_paths_equivalent_on_random_workloads(
     n, key_range, seed, kind_a, kind_b, memory, stop_after, op_kind
@@ -191,14 +208,10 @@ def test_batched_paths_equivalent_on_random_workloads(
     signatures = {}
     for label, path in PATHS.items():
         rel_a, rel_b = make_relation_pair(spec)
-        if op_kind == "hmj":
-            operator = HashMergeJoin(HMJConfig(memory_capacity=memory))
-        else:
-            operator = XJoin(memory_capacity=memory)
         result = execute(
             rel_a,
             rel_b,
-            operator,
+            _RANDOM_OPERATORS[op_kind](memory),
             _ARRIVALS[kind_a](),
             _ARRIVALS[kind_b](),
             blocking_threshold=0.01,
@@ -278,6 +291,67 @@ def test_retained_results_identical_across_paths(op_kind):
             (r.left.identity(), r.right.identity()) for r in result.results
         ]
     assert sequences["batched"] == sequences["per_tuple"]
+
+
+# -- the replay guard ---------------------------------------------------------
+
+
+class _CountingHMJ(HashMergeJoin):
+    def __init__(self, config):
+        super().__init__(config)
+        self.calls = 0
+
+    def on_tuple(self, t):
+        self.calls += 1
+        super().on_tuple(t)
+
+
+class _CountingXJoin(XJoin):
+    def __init__(self, memory_capacity):
+        super().__init__(memory_capacity)
+        self.calls = 0
+
+    def on_tuple(self, t):
+        self.calls += 1
+        super().on_tuple(t)
+
+
+_COUNTING = {
+    "hmj": (
+        lambda: _CountingHMJ(HMJConfig(memory_capacity=40)),
+        lambda: HashMergeJoin(HMJConfig(memory_capacity=40)),
+    ),
+    "xjoin": (
+        lambda: _CountingXJoin(memory_capacity=40),
+        lambda: XJoin(memory_capacity=40),
+    ),
+}
+
+
+@pytest.mark.parametrize("op_kind", sorted(_COUNTING))
+def test_overridden_on_tuple_sees_every_batched_arrival(op_kind):
+    """A subclass overriding ``on_tuple`` is replayed, never bypassed.
+
+    The columnar driver reproduces only the shared hashing step, so a
+    batched run of a customising subclass goes through its override
+    once per arrival, and still gives the per-event signature.
+    """
+    make_counting, make_plain = _COUNTING[op_kind]
+    spec = WorkloadSpec(n_a=300, n_b=300, key_range=60, seed=5)
+    signatures = {}
+    for label, make, path in (
+        ("override-batched", make_counting, PATHS["batched"]),
+        ("plain-per-tuple", make_plain, PATHS["per_tuple"]),
+    ):
+        rel_a, rel_b = make_relation_pair(spec)
+        operator = make()
+        result = execute(
+            rel_a, rel_b, operator, ConstantRate(800.0), PoissonArrival(800.0), **path
+        )
+        signatures[label] = _signature(result)
+        if label == "override-batched":
+            assert operator.calls == 600
+    assert signatures["override-batched"] == signatures["plain-per-tuple"]
 
 
 # -- source sides -------------------------------------------------------------
