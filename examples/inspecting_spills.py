@@ -27,7 +27,7 @@ from repro import (
     run_join,
     suggest_config,
 )
-from repro.storage.serialization import decode_tuples
+from repro.storage.serialization import decode_columns
 
 
 def main() -> None:
@@ -53,10 +53,11 @@ def main() -> None:
 
         if files:
             sample = files[0]
-            tuples = decode_tuples(sample.read_bytes())
-            keys = [t.key for t in tuples]
+            block = decode_columns(sample.read_bytes())
+            keys = block.keys.tolist()
             print(f"sample block {sample.relative_to(spill_dir)}:")
-            print(f"  {len(tuples)} tuples, keys {min(keys)}..{max(keys)} "
+            print(f"  {len(block)} tuples from source {block.source}, "
+                  f"keys {min(keys)}..{max(keys)} "
                   f"(sorted: {keys == sorted(keys)})\n")
 
         stats = result.disk.partition_stats()

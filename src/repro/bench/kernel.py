@@ -197,8 +197,10 @@ def _merge_scheduler(
     This reproduces the state HMJ reaches when memory held ~10% of the
     input: every tuple was flushed to a sorted disk run and all join
     work is left for the k-way merge phase.  Both merge passes get the
-    byte-identical history (same seed, same boxed registration path),
-    so the timed drain below compares only the merge kernels.
+    byte-identical history (same seed, same registration path), stored
+    in the form each pass reads — columns, plus the boxed view for the
+    scalar oracle's per-tuple page reads — so the timed drain below
+    compares only the merge kernels.
     """
     clock = VirtualClock()
     disk = SimulatedDisk(clock, CostModel())
@@ -224,6 +226,10 @@ def _merge_scheduler(
             run_b = _sorted_run(rng, per_side, SOURCE_B, key_range, tid)
             tid += per_side
             scheduler.register_flush(group, run_a, run_b)
+    if kind == "scalar":
+        for part in disk.partitions():
+            for block in part:
+                block.tuples  # box before the clock starts
     scheduler.mark_input_ended()
     return scheduler, clock, disk, recorder
 

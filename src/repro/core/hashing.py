@@ -24,8 +24,9 @@ span is marked dead and dropped at the next merge.  Per-tuple inserts
 go to a small per-bucket list *tail* that follows the bucket's arena
 slice; the next batch, sub-split, or extraction or largest-bucket
 query that meets both folds it into the arena.  ``Tuple`` objects are
-boxed lazily at the user-facing boundaries (probe matches, flush
-extraction, bucket snapshots); the hot paths never touch one.
+boxed lazily at the user-facing boundaries (probe matches, bucket
+snapshots, morph export); flushes leave as columns, and the hot paths
+never touch one.
 
 :meth:`DualHashTable.probe_insert_batch` is the array-native core of
 the columnar data plane: one vectorized hash pass bucketizes a whole
@@ -47,7 +48,14 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.core.summary import BucketSummaryTable
-from repro.storage.tuples import SOURCE_A, SOURCE_B, RelationColumns, Tuple
+from repro.storage.tuples import (
+    SOURCE_A,
+    SOURCE_B,
+    RelationColumns,
+    Tuple,
+    box_tuples,
+    columns_to_tuples,
+)
 
 # Knuth's multiplicative constant: scatters consecutive keys across
 # buckets deterministically (Python's built-in hash() is randomised
@@ -510,14 +518,6 @@ class DualHashTable:
             return self._slots
         raise ConfigurationError(f"unknown source {source!r}")
 
-    @staticmethod
-    def _materialise(
-        source: str, keys: list[int], tids: list[int], pays: list | None
-    ) -> list[Tuple]:
-        if pays is None:
-            return list(map(Tuple, keys, tids, repeat(source)))
-        return list(map(Tuple, keys, tids, repeat(source), pays))
-
     def insert(self, t: Tuple) -> int:
         """Store ``t`` in its own source's bucket (Figure 3, Step 4)."""
         first = self._first_slot(t.source)
@@ -880,25 +880,22 @@ class DualHashTable:
         return keys, tids, pays
 
     def extract_group(self, source: str, group: int) -> list[Tuple]:
-        """Remove and return every tuple of ``source`` in ``group``.
+        """Remove and return every tuple of ``source`` in ``group``, boxed.
 
-        Used by the flush path: the caller sorts the extracted tuples
-        and writes them as one disk block.  Tuples are boxed here, at
-        the memory/disk boundary, in bucket-then-insertion order —
-        the order the tuple-list storage always produced.
+        The per-tuple reader of :meth:`extract_group_columns` (morph
+        export): same bucket-then-insertion order.
         """
-        keys, tids, pays = self._take(source, group)
-        if isinstance(keys, np.ndarray):
-            keys, tids = keys.tolist(), tids.tolist()
-        return self._materialise(source, keys, tids, pays)
+        return columns_to_tuples(self.extract_group_columns(source, group))
 
     def extract_group_columns(self, source: str, group: int) -> "RelationColumns":
-        """Columnar :meth:`extract_group`: remove a group without boxing.
+        """Remove every tuple of ``source`` in ``group`` without boxing.
 
-        Same bucket-then-insertion order and single summary update, but
-        the extracted tuples leave as contiguous key/tid arrays — one
-        slice of the arena — plus a payload list only once payloads
-        exist, ready for the columnar flush path's ``lexsort``.
+        Used by the flush paths: the group leaves, in
+        bucket-then-insertion order with one summary update, as
+        contiguous key/tid arrays — one slice of the arena — plus a
+        payload list only once payloads exist, ready for the flush's
+        ``lexsort``.  The arrays may be views of the arena: a caller
+        that stores them as they are copies them first.
         """
         keys, tids, pays = self._take(source, group)
         return RelationColumns(
@@ -932,7 +929,7 @@ class DualHashTable:
         """One bucket's tuples, boxed (XJoin's stage 2 snapshots these)."""
         slot = self._first_slot(source) + bucket
         self._check_bucket(bucket)
-        return self._materialise(source, *self._arena.bucket(slot))
+        return box_tuples(source, *self._arena.bucket(slot))
 
     def largest_bucket(self, source: str | None = None) -> tuple[str, int]:
         """The (source, bucket) pair with the most tuples.

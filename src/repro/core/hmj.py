@@ -28,7 +28,13 @@ from repro.core.merging import MergeScheduler
 from repro.joins.base import SymmetricHashStage
 from repro.sim.budget import WorkBudget
 from repro.storage.memory import MemoryPool
-from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple, sort_columns_by_key
+from repro.storage.tuples import (
+    SOURCE_A,
+    SOURCE_B,
+    Tuple,
+    sort_columns_by_key,
+    tuples_to_columns,
+)
 
 
 class HashMergeJoin(SymmetricHashStage):
@@ -162,13 +168,17 @@ class HashMergeJoin(SymmetricHashStage):
             for _ in ts:
                 self.charge_tuple()
             if len(ts) > memory.capacity:
-                ts_a = [t for t in ts if t.source == SOURCE_A]
-                ts_b = [t for t in ts if t.source != SOURCE_A]
-                self.charge_sort(len(ts_a))
-                self.charge_sort(len(ts_b))
-                ts_a.sort(key=Tuple.sort_key)
-                ts_b.sort(key=Tuple.sort_key)
-                self.scheduler.register_flush(group, ts_a, ts_b)
+                cols_a = tuples_to_columns(
+                    [t for t in ts if t.source == SOURCE_A], SOURCE_A
+                )
+                cols_b = tuples_to_columns(
+                    [t for t in ts if t.source != SOURCE_A], SOURCE_B
+                )
+                self.charge_sort(len(cols_a))
+                self.charge_sort(len(cols_b))
+                self.scheduler.register_flush_columns(
+                    group, sort_columns_by_key(cols_a), sort_columns_by_key(cols_b)
+                )
                 self.flush_count += 1
                 self.log_event("import-spill", group=group, tuples=len(ts))
                 continue

@@ -36,7 +36,13 @@ from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.storage.disk import DiskBlock, SimulatedDisk
 from repro.storage.runs import SortedRun, vectorized_run_merge
-from repro.storage.tuples import RelationColumns, Tuple
+from repro.storage.tuples import (
+    SOURCE_A,
+    SOURCE_B,
+    RelationColumns,
+    Tuple,
+    tuples_to_columns,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.recorder import MetricsRecorder
@@ -152,38 +158,12 @@ class MergeScheduler:
         sorted_a: list[Tuple],
         sorted_b: list[Tuple],
     ) -> int:
-        """Write one synchronously flushed, pre-sorted block pair.
-
-        Either side may be empty (its bucket group held no tuples), but
-        not both.  Returns the shared block number.
-        """
-        gs = self._group(group)
-        if not sorted_a and not sorted_b:
-            raise SimulationError(f"flush of group {group} contained no tuples")
-        if self._input_ended:
-            raise SimulationError(
-                "register_flush after mark_input_ended would break the "
-                "final-pass optimisation; flush before marking input ended"
-            )
-        block_id = gs.next_id
-        gs.next_id += 1
-        block_a = (
-            self._disk.write_block(gs.partition_a, sorted_a, block_id, sorted_by_key=True)
-            if sorted_a
-            else None
+        """Tuple-list :meth:`register_flush_columns`: same checks and charges."""
+        return self.register_flush_columns(
+            group,
+            tuples_to_columns(sorted_a, SOURCE_A),
+            tuples_to_columns(sorted_b, SOURCE_B),
         )
-        block_b = (
-            self._disk.write_block(gs.partition_b, sorted_b, block_id, sorted_by_key=True)
-            if sorted_b
-            else None
-        )
-        gs.blocks[block_id] = (block_a, block_b)
-        if block_a is not None:
-            gs.count_a += 1
-        if block_b is not None:
-            gs.count_b += 1
-        self._tuples_flushed += len(sorted_a) + len(sorted_b)
-        return block_id
 
     def register_flush_columns(
         self,
@@ -191,7 +171,7 @@ class MergeScheduler:
         sorted_a: RelationColumns | None,
         sorted_b: RelationColumns | None,
     ) -> int:
-        """Columnar :meth:`register_flush`: same charges, no boxing.
+        """Write one synchronously flushed, pre-sorted block pair.
 
         Either side may be ``None`` or empty (its bucket group held no
         tuples), but not both.  Returns the shared block number.

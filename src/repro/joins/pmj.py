@@ -21,7 +21,7 @@ from repro.core.merging import MergeScheduler
 from repro.joins.base import StreamingJoinOperator
 from repro.sim.budget import WorkBudget
 from repro.storage.memory import MemoryPool
-from repro.storage.tuples import SOURCE_A, Tuple, tuples_to_columns
+from repro.storage.tuples import SOURCE_A, Tuple
 
 
 class ProgressiveMergeJoin(StreamingJoinOperator):
@@ -140,9 +140,8 @@ class ProgressiveMergeJoin(StreamingJoinOperator):
         """One sorting-phase step: sort both partitions, join, flush.
 
         The in-memory sort-merge join works on the boxed sorted lists;
-        the flushed run pair is registered as key/tid column arrays so
-        later merge passes read it without re-boxing.  One sort charge
-        per side, then the run-pair write.
+        the flushed run pair is stored as key/tid columns.  One sort
+        charge per side, then the run-pair write.
         """
         tuples_a, tuples_b = self._pending_a, self._pending_b
         self._pending_a, self._pending_b = [], []
@@ -151,9 +150,7 @@ class ProgressiveMergeJoin(StreamingJoinOperator):
         tuples_a.sort(key=Tuple.sort_key)
         tuples_b.sort(key=Tuple.sort_key)
         self._join_sorted_in_memory(tuples_a, tuples_b)
-        self.scheduler.register_flush_columns(
-            0, tuples_to_columns(tuples_a), tuples_to_columns(tuples_b)
-        )
+        self.scheduler.register_flush(0, tuples_a, tuples_b)
         self.memory.release(len(tuples_a) + len(tuples_b))
         self.sort_flush_count += 1
         self.log_event("sort-flush", a=len(tuples_a), b=len(tuples_b))

@@ -36,6 +36,7 @@ random workloads.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
@@ -190,17 +191,21 @@ class XJoin(SymmetricHashStage):
         write completed and releases its memory.  Returns the number of
         tuples spilled (0 for an empty bucket, which touches no disk).
         """
-        tuples = self.table.extract_group(source, bucket)
-        if not tuples:
+        cols = self.table.extract_group_columns(source, bucket)
+        n = len(cols)
+        if not n:
             return 0
         partition = self._partition_name(source, bucket)
         block_id = len(self.disk.partition(partition).blocks)
-        self.disk.write_block(partition, tuples, block_id, sorted_by_key=False)
+        # Owned copies: a stored arena view would pin the whole arena
+        # array the table replaces at its next merge.
+        stored = replace(cols, keys=cols.keys.copy(), tids=cols.tids.copy())
+        self.disk.write_block_columns(partition, stored, block_id, sorted_by_key=False)
         now = self.clock.now
-        for t in tuples:
-            self._dts[t.identity()] = now
-        self.memory.release(len(tuples))
-        return len(tuples)
+        for tid in cols.tids.tolist():
+            self._dts[(source, tid)] = now
+        self.memory.release(n)
+        return n
 
     def export_hash_state(self) -> list[Tuple] | None:
         """Drain the in-memory tables for a morph target, if possible.

@@ -33,7 +33,7 @@ import asyncio
 import json
 from typing import Sequence
 
-from repro.errors import ReproError
+from repro.errors import ProtocolError, ReproError
 from repro.service.session import QuerySession
 from repro.service.spec import QuerySpec
 from repro.sim.query import Query
@@ -77,31 +77,34 @@ class QueryServer:
 
     @property
     def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` (port resolved after start)."""
-        assert self._server is not None and self._server.sockets
+        """The bound ``(host, port)`` (port resolved after start).
+
+        Raises :class:`~repro.errors.ProtocolError` before :meth:`start`.
+        """
+        if self._server is None or not self._server.sockets:
+            raise ProtocolError("server address is unknown until start()")
         sock = self._server.sockets[0]
         name = sock.getsockname()
         return name[0], name[1]
 
-    async def start(self) -> None:
+    async def start(self) -> asyncio.Server:
         """Bind the listening socket (serving starts in :meth:`serve`)."""
         self._server = await asyncio.start_server(
             self._handle_client, self._host, self._port
         )
+        return self._server
 
     async def serve(self) -> None:
         """Serve until a shutdown request arrives and the session drains."""
-        if self._server is None:
-            await self.start()
+        server = self._server or await self.start()
         host, port = self.address
         print(f"repro serve: listening on {host}:{port}", flush=True)
         pump = asyncio.create_task(self._pump())
         try:
             await self._shutdown.wait()
         finally:
-            assert self._server is not None
-            self._server.close()
-            await self._server.wait_closed()
+            server.close()
+            await server.wait_closed()
             self._wake.set()
             await pump
         print(

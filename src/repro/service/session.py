@@ -372,22 +372,21 @@ class QuerySession:
                 chosen = query
                 chosen_at = at
         next_timeline = self._timeline[0][0] if self._timeline else math.inf
-        if min(chosen_at, next_timeline) is math.inf:
-            if self._queued:
-                # Tenants are waiting but nothing can ever admit them.
-                head = self._queued[0]
-                raise ProtocolError(
-                    f"query {head.query_id} can never be admitted: its "
-                    f"memory floor exceeds the aggregate budget"
-                )
-            return False
-        if next_timeline <= chosen_at:
+        if chosen is None or next_timeline <= chosen_at:
+            if next_timeline is math.inf:
+                if self._queued:
+                    # Tenants are waiting but nothing can ever admit them.
+                    head = self._queued[0]
+                    raise ProtocolError(
+                        f"query {head.query_id} can never be admitted: its "
+                        f"memory floor exceeds the aggregate budget"
+                    )
+                return False
             at, _, kind, payload = self._timeline.pop(0)
             self.clock.advance_to(at)
             self._fire_timeline(kind, payload)
             return True
         self.clock.advance_to(chosen_at)
-        assert chosen is not None
         try:
             alive = chosen.step()
         except Exception as exc:
@@ -405,9 +404,13 @@ class QuerySession:
 
     def _fire_timeline(self, kind: str, payload) -> None:
         if kind == "memory":
-            assert self.broker is not None
+            broker = self.broker
+            if broker is None:  # pragma: no cover - schedule_memory rejects it
+                raise ConfigurationError(
+                    "memory schedule needs a session memory budget"
+                )
             total = int(payload)  # type: ignore[arg-type]
-            self.broker.set_total(total)
+            broker.set_total(total)
             grants = self._rebalance()
             if self.journal is not None:
                 self.journal.record(

@@ -13,7 +13,7 @@ from repro.storage.filedisk import FileBackedDisk
 from repro.storage.memory import MemoryPool
 from repro.storage.pages import pages_needed, split_into_pages
 from repro.storage.runs import SortedRun
-from repro.storage.serialization import decode_tuples, encode_tuples
+from repro.storage.serialization import decode_columns, encode_columns
 from repro.storage.tuples import JoinResult, Relation, Schema, Tuple
 
 __all__ = [
@@ -27,8 +27,8 @@ __all__ = [
     "SimulatedDisk",
     "SortedRun",
     "Tuple",
-    "decode_tuples",
-    "encode_tuples",
+    "decode_columns",
+    "encode_columns",
     "pages_needed",
     "split_into_pages",
 ]

@@ -32,12 +32,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class DiskBlock:
     """One flushed block: a contiguous, optionally sorted tuple run.
 
-    Like :class:`~repro.storage.tuples.Relation`, the block holds
-    *either* representation and derives the other lazily: blocks
-    written by the columnar flush/merge paths store key/tid column
-    arrays (no ``Tuple`` boxing until a per-tuple consumer reads
-    ``tuples``), while tuple-built blocks grow their :meth:`columns`
-    on first columnar access.  Both are cached.
+    Like :class:`~repro.storage.tuples.Relation`, the block stores its
+    :meth:`columns`; ``tuples`` is a boxed view for per-tuple readers,
+    built on first read and cached (XJoin's stage 2 and stage 3 read
+    the same blocks repeatedly).  A block built from a tuple list
+    keeps that list as the view.
 
     Attributes:
         block_id: The paper's block number.  HMJ assigns the *same* id
@@ -48,64 +47,38 @@ class DiskBlock:
             and PMJ sort before flushing; XJoin does not).
     """
 
-    __slots__ = ("block_id", "sorted_by_key", "_tuples", "_columns")
+    __slots__ = ("block_id", "sorted_by_key", "_columns", "_tuples")
 
     def __init__(
         self,
         block_id: int,
-        tuples: list[Tuple] | None = None,
-        sorted_by_key: bool = False,
-        columns: RelationColumns | None = None,
-    ) -> None:
-        if (tuples is None) == (columns is None):
-            raise StorageError(
-                "DiskBlock needs exactly one of tuples= or columns="
-            )
-        self.block_id = block_id
-        self.sorted_by_key = sorted_by_key
-        self._tuples = tuples
-        self._columns = columns
-
-    @classmethod
-    def from_columns(
-        cls,
-        block_id: int,
         columns: RelationColumns,
         sorted_by_key: bool = False,
-    ) -> "DiskBlock":
-        """Wrap pre-built column arrays without materialising tuples."""
-        return cls(
-            block_id=block_id, sorted_by_key=sorted_by_key, columns=columns
-        )
+        tuples: list[Tuple] | None = None,
+    ) -> None:
+        self.block_id = block_id
+        self.sorted_by_key = sorted_by_key
+        self._columns = columns
+        self._tuples = tuples
 
     @property
     def tuples(self) -> list[Tuple]:
         """The stored tuples in storage order (boxed on first use)."""
         if self._tuples is None:
-            cols = self._columns
-            assert cols is not None
-            self._tuples = columns_to_tuples(cols)
+            self._tuples = columns_to_tuples(self._columns)
         return self._tuples
 
     def columns(self) -> RelationColumns:
-        """The columnar image, built from the tuple list on first use."""
-        if self._columns is None:
-            ts = self._tuples
-            assert ts is not None
-            self._columns = tuples_to_columns(ts)
+        """The stored columnar image."""
         return self._columns
 
     def __len__(self) -> int:
-        if self._tuples is not None:
-            return len(self._tuples)
-        assert self._columns is not None
-        return len(self._columns.keys)
+        return len(self._columns)
 
     def __repr__(self) -> str:
-        form = "boxed" if self._tuples is not None else "columnar"
         return (
             f"DiskBlock(block_id={self.block_id}, n={len(self)}, "
-            f"sorted_by_key={self.sorted_by_key}, {form})"
+            f"sorted_by_key={self.sorted_by_key})"
         )
 
     def pages(self, page_size: int) -> int:
@@ -213,25 +186,19 @@ class SimulatedDisk:
         block_id: int,
         sorted_by_key: bool = False,
     ) -> DiskBlock:
-        """Append a block to ``partition``, charging write I/O.
-
-        Empty flushes are storage bugs (a policy chose a victim with
-        nothing in it) and raise :class:`~repro.errors.StorageError`.
-        """
-        if not tuples:
-            raise StorageError(f"refusing to write empty block to {partition!r}")
-        block = DiskBlock(
-            block_id=block_id, tuples=list(tuples), sorted_by_key=sorted_by_key
+        """Tuple-list :meth:`write_block_columns`: same charges."""
+        boxed = list(tuples)
+        block = self._append(
+            partition, tuples_to_columns(boxed), block_id, sorted_by_key, boxed
         )
-        part = self.partition(partition)
-        part.blocks.append(block)
-        self._charge_write(len(tuples))
+        self._charge_write(len(block))
         return block
 
     def read_block(self, block: DiskBlock) -> list[Tuple]:
         """Read a whole block back, charging read I/O for all its pages."""
-        self._charge_read(len(block.tuples))
-        return list(block.tuples)
+        tuples = self._stored_tuples(block)
+        self._charge_read(len(tuples))
+        return list(tuples)
 
     def page_reader(self, block: DiskBlock) -> Iterator[list[Tuple]]:
         """Stream a block page by page, charging one read per page.
@@ -240,7 +207,7 @@ class SimulatedDisk:
         I/O counter) advance gradually while merging, matching the
         smooth in-merge segments of the paper's curves.
         """
-        for page in split_into_pages(block.tuples, self._costs.page_size):
+        for page in split_into_pages(self._stored_tuples(block), self._costs.page_size):
             self._charge_read(len(page))
             yield list(page)
 
@@ -256,27 +223,9 @@ class SimulatedDisk:
 
         The merge writers stream pages out as they fill; they account
         through this hook and materialise the final block separately
-        via :meth:`adopt_block`.
+        via :meth:`adopt_block_columns`.
         """
         return self._charge_write(n_tuples)
-
-    def adopt_block(
-        self,
-        partition: str,
-        tuples: Sequence[Tuple],
-        block_id: int,
-        sorted_by_key: bool = True,
-    ) -> DiskBlock:
-        """Register an already-charged block (built by a streaming writer)."""
-        if not tuples:
-            raise StorageError(f"refusing to adopt empty block into {partition!r}")
-        block = DiskBlock(
-            block_id=block_id, tuples=list(tuples), sorted_by_key=sorted_by_key
-        )
-        self.partition(partition).blocks.append(block)
-        return block
-
-    # -- columnar access ---------------------------------------------------
 
     def block_columns(self, block: DiskBlock) -> RelationColumns:
         """A block's contents as column arrays, WITHOUT charging I/O.
@@ -295,14 +244,13 @@ class SimulatedDisk:
         block_id: int,
         sorted_by_key: bool = False,
     ) -> DiskBlock:
-        """Columnar :meth:`write_block`: same charges, no boxing."""
-        if not len(columns.keys):
-            raise StorageError(f"refusing to write empty block to {partition!r}")
-        block = DiskBlock.from_columns(
-            block_id=block_id, columns=columns, sorted_by_key=sorted_by_key
-        )
-        self.partition(partition).blocks.append(block)
-        self._charge_write(len(columns.keys))
+        """Append a block to ``partition``, charging write I/O.
+
+        Empty flushes are storage bugs (a policy chose a victim with
+        nothing in it) and raise :class:`~repro.errors.StorageError`.
+        """
+        block = self._append(partition, columns, block_id, sorted_by_key)
+        self._charge_write(len(columns))
         return block
 
     def adopt_block_columns(
@@ -311,15 +259,14 @@ class SimulatedDisk:
         columns: RelationColumns,
         block_id: int,
         sorted_by_key: bool = True,
+        tuples: list[Tuple] | None = None,
     ) -> DiskBlock:
-        """Columnar :meth:`adopt_block`: register already-charged output."""
-        if not len(columns.keys):
-            raise StorageError(f"refusing to adopt empty block into {partition!r}")
-        block = DiskBlock.from_columns(
-            block_id=block_id, columns=columns, sorted_by_key=sorted_by_key
-        )
-        self.partition(partition).blocks.append(block)
-        return block
+        """Register an already-charged block (built by a streaming writer).
+
+        ``tuples`` is the boxed view when the writer already holds one
+        (the scalar merge oracle); it becomes the block's cached view.
+        """
+        return self._append(partition, columns, block_id, sorted_by_key, tuples)
 
     def absorb_io_pages(self, pages_read: int, pages_written: int) -> None:
         """Fold a fused loop's locally counted page I/Os into the totals.
@@ -334,6 +281,25 @@ class SimulatedDisk:
         """
         self._pages_read += pages_read
         self._pages_written += pages_written
+
+    def _append(
+        self,
+        partition: str,
+        columns: RelationColumns,
+        block_id: int,
+        sorted_by_key: bool,
+        tuples: list[Tuple] | None = None,
+    ) -> DiskBlock:
+        """Store one non-empty block at the end of ``partition``."""
+        if not len(columns):
+            raise StorageError(f"refusing to write empty block to {partition!r}")
+        block = DiskBlock(block_id, columns, sorted_by_key, tuples)
+        self.partition(partition).blocks.append(block)
+        return block
+
+    def _stored_tuples(self, block: DiskBlock) -> list[Tuple]:
+        """The boxed contents every tuple read serves (no I/O charge)."""
+        return block.tuples
 
     def _charge_write(self, n_tuples: int) -> int:
         pages = pages_needed(n_tuples, self._costs.page_size)

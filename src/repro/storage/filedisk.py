@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Iterator, Sequence
 
 from repro.errors import StorageError
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.storage.disk import DiskBlock, SimulatedDisk
-from repro.storage.pages import split_into_pages
-from repro.storage.serialization import decode_tuples, encode_tuples
-from repro.storage.tuples import Tuple, tuples_to_columns
+from repro.storage.serialization import decode_columns, encode_columns
+from repro.storage.tuples import RelationColumns, Tuple, columns_to_tuples
 
 
 class FileBackedDisk(SimulatedDisk):
@@ -53,79 +51,18 @@ class FileBackedDisk(SimulatedDisk):
             )
         return path
 
-    def write_block(
-        self,
-        partition: str,
-        tuples: Sequence[Tuple],
-        block_id: int,
-        sorted_by_key: bool = False,
-    ) -> DiskBlock:
-        block = super().write_block(
-            partition, tuples, block_id, sorted_by_key=sorted_by_key
-        )
-        self._persist(partition, block)
-        return block
-
-    def adopt_block(
-        self,
-        partition: str,
-        tuples: Sequence[Tuple],
-        block_id: int,
-        sorted_by_key: bool = True,
-    ) -> DiskBlock:
-        block = super().adopt_block(
-            partition, tuples, block_id, sorted_by_key=sorted_by_key
-        )
-        self._persist(partition, block)
-        return block
-
-    def write_block_columns(
-        self,
-        partition: str,
-        columns,
-        block_id: int,
-        sorted_by_key: bool = False,
-    ) -> DiskBlock:
-        block = super().write_block_columns(
-            partition, columns, block_id, sorted_by_key=sorted_by_key
-        )
-        self._persist(partition, block)
-        return block
-
-    def adopt_block_columns(
-        self,
-        partition: str,
-        columns,
-        block_id: int,
-        sorted_by_key: bool = True,
-    ) -> DiskBlock:
-        block = super().adopt_block_columns(
-            partition, columns, block_id, sorted_by_key=sorted_by_key
-        )
-        self._persist(partition, block)
-        return block
-
-    def block_columns(self, block: DiskBlock):
+    def block_columns(self, block: DiskBlock) -> RelationColumns:
         """Column view of a block's *file* contents (no I/O charge).
 
-        Round-trips through the serialised form like every other read
-        on this disk, so the spill file stays the source of truth for
-        what the columnar merge consumes.
+        Every read on this disk decodes the block's file, so the spill
+        file stays the source of truth for what the merge consumes.
         """
-        return tuples_to_columns(self._load(block))
-
-    def read_block(self, block: DiskBlock) -> list[Tuple]:
-        """Read a block back *from its file*, charging read I/O."""
-        data = self._load(block)
-        self._charge_read(len(data))
-        return data
-
-    def page_reader(self, block: DiskBlock) -> Iterator[list[Tuple]]:
-        """Stream a block's file contents page by page."""
-        data = self._load(block)
-        for page in split_into_pages(data, self.costs.page_size):
-            self._charge_read(len(page))
-            yield list(page)
+        path = self.block_path(block)
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise StorageError(f"cannot read block file {path}: {exc}") from exc
+        return decode_columns(data)
 
     def drop_block(self, partition: str, block: DiskBlock) -> None:
         super().drop_block(partition, block)
@@ -137,17 +74,21 @@ class FileBackedDisk(SimulatedDisk):
         """All live spill files, sorted for stable listings."""
         return sorted(self._files.values())
 
-    def _persist(self, partition: str, block: DiskBlock) -> None:
+    def _append(
+        self,
+        partition: str,
+        columns: RelationColumns,
+        block_id: int,
+        sorted_by_key: bool,
+        tuples: list[Tuple] | None = None,
+    ) -> DiskBlock:
+        block = super()._append(partition, columns, block_id, sorted_by_key, tuples)
         directory = self._root / partition
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"block{block.block_id:04d}_{next(self._serial):06d}.rprb"
-        path.write_bytes(encode_tuples(block.tuples))
+        path.write_bytes(encode_columns(columns))
         self._files[id(block)] = path
+        return block
 
-    def _load(self, block: DiskBlock) -> list[Tuple]:
-        path = self.block_path(block)
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise StorageError(f"cannot read block file {path}: {exc}") from exc
-        return decode_tuples(data)
+    def _stored_tuples(self, block: DiskBlock) -> list[Tuple]:
+        return columns_to_tuples(self.block_columns(block))

@@ -1,56 +1,57 @@
-"""Binary serialization of tuple blocks.
+"""Binary serialization of disk blocks.
 
 The file-backed disk stores each flushed block as one binary file.
 The codec is a small length-prefixed format, not pickle-of-everything:
 
-* header: magic ``RPRB``, version byte, tuple count (uint32);
+* header: magic ``b"RPRB"``, format version (uint8), tuple count (uint32)
 * per tuple: key (int64), tid (int64), source byte, payload length
   (uint32) followed by the pickled payload (length 0 encodes ``None``
   without invoking pickle at all — the overwhelmingly common case).
 
-Integers outside int64 are rejected up front rather than silently
-truncated.
+Blocks are encoded from and decoded to
+:class:`~repro.storage.tuples.RelationColumns`, the form blocks are
+stored in.  Keys and tids are ``int64`` by construction
+(:func:`~repro.storage.tuples.tuples_to_columns` rejects anything
+wider), and a block holds one source, so a file whose records carry
+more than one source byte is rejected.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
-from typing import Sequence
+from itertools import repeat
+
+import numpy as np
 
 from repro.errors import StorageError
-from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
+from repro.storage.tuples import SOURCE_A, SOURCE_B, RelationColumns
 
 _MAGIC = b"RPRB"
 _VERSION = 1
 _HEADER = struct.Struct("<4sBI")
 _RECORD = struct.Struct("<qqBI")
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 _SOURCE_TO_BYTE = {SOURCE_A: 0, SOURCE_B: 1}
 _BYTE_TO_SOURCE = {0: SOURCE_A, 1: SOURCE_B}
 
 
-def encode_tuples(tuples: Sequence[Tuple]) -> bytes:
-    """Serialise a block of tuples to bytes."""
-    parts = [_HEADER.pack(_MAGIC, _VERSION, len(tuples))]
-    for t in tuples:
-        if not _INT64_MIN <= t.key <= _INT64_MAX:
-            raise StorageError(f"key {t.key} does not fit in int64")
-        if not _INT64_MIN <= t.tid <= _INT64_MAX:
-            raise StorageError(f"tid {t.tid} does not fit in int64")
-        source_byte = _SOURCE_TO_BYTE.get(t.source)
-        if source_byte is None:
-            raise StorageError(f"cannot serialise source {t.source!r}")
-        payload = b"" if t.payload is None else pickle.dumps(t.payload)
-        parts.append(_RECORD.pack(t.key, t.tid, source_byte, len(payload)))
-        parts.append(payload)
+def encode_columns(cols: RelationColumns) -> bytes:
+    """Serialise a block's columns to bytes."""
+    source_byte = _SOURCE_TO_BYTE.get(cols.source)
+    if source_byte is None:
+        raise StorageError(f"cannot serialise source {cols.source!r}")
+    parts = [_HEADER.pack(_MAGIC, _VERSION, len(cols))]
+    payloads = repeat(None) if cols.payloads is None else cols.payloads
+    for key, tid, payload in zip(cols.keys.tolist(), cols.tids.tolist(), payloads):
+        blob = b"" if payload is None else pickle.dumps(payload)
+        parts.append(_RECORD.pack(key, tid, source_byte, len(blob)))
+        parts.append(blob)
     return b"".join(parts)
 
 
-def decode_tuples(data: bytes) -> list[Tuple]:
-    """Deserialise a block written by :func:`encode_tuples`."""
+def decode_columns(data: bytes) -> RelationColumns:
+    """Deserialise a block written by :func:`encode_columns`."""
     if len(data) < _HEADER.size:
         raise StorageError("block file is truncated (no header)")
     magic, version, count = _HEADER.unpack_from(data, 0)
@@ -59,7 +60,10 @@ def decode_tuples(data: bytes) -> list[Tuple]:
     if version != _VERSION:
         raise StorageError(f"unsupported block version {version}")
     offset = _HEADER.size
-    tuples: list[Tuple] = []
+    keys: list[int] = []
+    tids: list[int] = []
+    payloads: list = []
+    source_bytes: set[int] = set()
     for _ in range(count):
         if offset + _RECORD.size > len(data):
             raise StorageError("block file is truncated (record header)")
@@ -69,18 +73,21 @@ def decode_tuples(data: bytes) -> list[Tuple]:
             raise StorageError("block file is truncated (payload)")
         if source_byte not in _BYTE_TO_SOURCE:
             raise StorageError(f"unknown source byte {source_byte}")
+        source_bytes.add(source_byte)
         payload = None
         if payload_len:
             payload = pickle.loads(data[offset : offset + payload_len])
         offset += payload_len
-        tuples.append(
-            Tuple(
-                key=key,
-                tid=tid,
-                source=_BYTE_TO_SOURCE[source_byte],
-                payload=payload,
-            )
-        )
+        keys.append(key)
+        tids.append(tid)
+        payloads.append(payload)
     if offset != len(data):
         raise StorageError("block file has trailing bytes")
-    return tuples
+    if len(source_bytes) > 1:
+        raise StorageError("block file mixes tuples of more than one source")
+    return RelationColumns(
+        keys=np.asarray(keys, dtype=np.int64),
+        tids=np.asarray(tids, dtype=np.int64),
+        payloads=None if all(p is None for p in payloads) else payloads,
+        source=_BYTE_TO_SOURCE[source_bytes.pop()] if source_bytes else SOURCE_A,
+    )

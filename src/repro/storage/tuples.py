@@ -11,11 +11,13 @@ distinguishable when checking the paper's uniqueness theorem), a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StorageError
 
 SOURCE_A = "A"
 SOURCE_B = "B"
@@ -131,45 +133,58 @@ class RelationColumns:
         return len(self.keys)
 
 
+_KEY, _TID, _PAYLOAD = attrgetter("key"), attrgetter("tid"), attrgetter("payload")
+
+
 def tuples_to_columns(
     ts: Sequence[Tuple], source: str | None = None
 ) -> RelationColumns:
     """Build the columnar image of a single-source tuple sequence.
 
-    The shared conversion behind :meth:`Relation.columns` and the
-    lazy-dual :class:`~repro.storage.disk.DiskBlock`: contiguous
-    ``int64`` key/tid arrays plus a payload list only when at least one
-    payload is non-``None``.
+    The one conversion into the stored form (relations and disk
+    blocks hold columns): contiguous ``int64`` key/tid arrays plus a
+    payload list only when at least one payload is non-``None``.  A
+    key or tid outside ``int64`` raises
+    :class:`~repro.errors.StorageError`.
     """
     n = len(ts)
-    payloads: list | None = None
-    if any(t.payload is not None for t in ts):
-        payloads = [t.payload for t in ts]
+    payloads: list | None = list(map(_PAYLOAD, ts))
+    if payloads.count(None) == n:
+        payloads = None
+    try:
+        keys = np.fromiter(map(_KEY, ts), dtype=np.int64, count=n)
+        tids = np.fromiter(map(_TID, ts), dtype=np.int64, count=n)
+    except OverflowError as exc:
+        raise StorageError(f"key or tid does not fit in int64: {exc}") from exc
     return RelationColumns(
-        keys=np.fromiter((t.key for t in ts), dtype=np.int64, count=n),
-        tids=np.fromiter((t.tid for t in ts), dtype=np.int64, count=n),
+        keys=keys,
+        tids=tids,
         payloads=payloads,
         source=ts[0].source if ts else (source or SOURCE_A),
     )
 
 
+def box_tuples(
+    source: str, keys: list[int], tids: list[int], payloads: list | None
+) -> list[Tuple]:
+    """Box parallel key/tid/payload lists into ``Tuple`` objects, in order.
+
+    The one boxing loop, for per-tuple readers.  ``payloads`` is
+    ``None`` when every payload is ``None``, as in
+    :class:`RelationColumns`.
+    """
+    if payloads is None:
+        return list(map(Tuple, keys, tids, repeat(source)))
+    return list(map(Tuple, keys, tids, repeat(source), payloads))
+
+
 def columns_to_tuples(cols: RelationColumns) -> list[Tuple]:
-    """Box a columnar image back into ``Tuple`` objects, in order.
+    """Box a columnar image into ``Tuple`` objects, in order.
 
     ``.tolist()`` yields native ints, so the boxed tuples are
     value-identical to ones built eagerly from the same data.
     """
-    keys = cols.keys.tolist()
-    tids = cols.tids.tolist()
-    source = cols.source
-    if cols.payloads is None:
-        return [
-            Tuple(key=k, tid=i, source=source) for k, i in zip(keys, tids)
-        ]
-    return [
-        Tuple(key=k, tid=i, source=source, payload=p)
-        for k, i, p in zip(keys, tids, cols.payloads)
-    ]
+    return box_tuples(cols.source, cols.keys.tolist(), cols.tids.tolist(), cols.payloads)
 
 
 def sort_columns_by_key(cols: RelationColumns) -> RelationColumns:
@@ -201,23 +216,22 @@ class Relation:
     will deliver them (arrival order matters to every non-blocking
     join, so it is part of the workload definition).
 
-    The relation holds *either* representation and derives the other
-    lazily: :meth:`from_keys` stores only column arrays (no ``Tuple``
-    boxing until someone reads ``tuples`` — the per-tuple delivery
-    path, oracles, tests), while tuple-built relations build their
-    :meth:`columns` on first columnar delivery.  Both are cached.
+    The relation stores its :meth:`columns`; ``tuples`` is a boxed
+    view for per-tuple readers (the per-tuple delivery path, oracles,
+    tests).  :meth:`from_keys` boxes nothing until someone reads
+    ``tuples``; a tuple-built relation converts once at construction
+    and keeps the given list as that view.
     """
 
-    __slots__ = ("schema", "_tuples", "_columns")
+    __slots__ = ("schema", "_columns", "_tuples")
 
     def __init__(
         self, schema: Schema, tuples: Iterable[Tuple] | None = None
     ) -> None:
         self.schema = schema
-        self._tuples: list[Tuple] | None = (
-            list(tuples) if tuples is not None else []
-        )
-        self._columns: RelationColumns | None = None
+        boxed = list(tuples) if tuples is not None else []
+        self._columns = tuples_to_columns(boxed, source=schema.name)
+        self._tuples: list[Tuple] | None = boxed
 
     @classmethod
     def from_keys(
@@ -247,36 +261,19 @@ class Relation:
         )
         return rel
 
-    @classmethod
-    def from_columns(cls, schema: Schema, columns: RelationColumns) -> "Relation":
-        """Wrap pre-built column arrays without materialising tuples."""
-        rel = cls(schema=schema)
-        rel._tuples = None
-        rel._columns = columns
-        return rel
-
     @property
     def tuples(self) -> list[Tuple]:
         """The boxed tuple list, materialised from columns on first use."""
         if self._tuples is None:
-            cols = self._columns
-            assert cols is not None
-            self._tuples = columns_to_tuples(cols)
+            self._tuples = columns_to_tuples(self._columns)
         return self._tuples
 
     def columns(self) -> RelationColumns:
-        """The columnar image, built from the tuple list on first use."""
-        if self._columns is None:
-            ts = self._tuples
-            assert ts is not None
-            self._columns = tuples_to_columns(ts, source=self.schema.name)
+        """The stored columnar image."""
         return self._columns
 
     def __len__(self) -> int:
-        if self._tuples is not None:
-            return len(self._tuples)
-        assert self._columns is not None
-        return len(self._columns.keys)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[Tuple]:
         return iter(self.tuples)
@@ -285,26 +282,18 @@ class Relation:
         return self.tuples[index]
 
     def __repr__(self) -> str:
-        boxed = "boxed" if self._tuples is not None else "columnar"
-        return f"Relation(schema={self.schema!r}, n={len(self)}, {boxed})"
+        return f"Relation(schema={self.schema!r}, n={len(self)})"
 
     @property
     def source(self) -> str:
-        """Source label of this relation (from its first tuple, or name)."""
-        if self._tuples is None:
-            assert self._columns is not None
-            if len(self._columns.keys):
-                return self._columns.source
-            return self.schema.name
-        if self._tuples:
-            return self._tuples[0].source
+        """Source label of this relation (from its tuples, or its name)."""
+        if len(self._columns):
+            return self._columns.source
         return self.schema.name
 
     def keys(self) -> list[int]:
         """The join keys in delivery order."""
-        if self._columns is not None:
-            return self._columns.keys.tolist()
-        return [t.key for t in self.tuples]
+        return self._columns.keys.tolist()
 
 
 def result_multiset(results: Sequence[JoinResult]) -> dict[tuple, int]:

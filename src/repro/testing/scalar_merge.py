@@ -34,7 +34,7 @@ from repro.sim.budget import WorkBudget
 from repro.sim.clock import VirtualClock
 from repro.storage.disk import DiskBlock, SimulatedDisk
 from repro.storage.runs import SortedRun
-from repro.storage.tuples import Tuple, make_result
+from repro.storage.tuples import Tuple, make_result, tuples_to_columns
 
 EmitFn = Callable[[Tuple, Tuple], None]
 
@@ -145,8 +145,12 @@ class PagedRunWriter:
             self._uncharged = 0
         if not self._tuples:
             return None
-        return self._disk.adopt_block(
-            self._partition, self._tuples, self._block_id, sorted_by_key=True
+        return self._disk.adopt_block_columns(
+            self._partition,
+            tuples_to_columns(self._tuples),
+            self._block_id,
+            sorted_by_key=True,
+            tuples=self._tuples,
         )
 
 

@@ -1,8 +1,10 @@
 """Unit tests for XJoin, including its timestamp duplicate prevention."""
 
+import numpy as np
 import pytest
 
 from conftest import assert_matches_oracle, drive, interleave, keys_relation, make_runtime
+from repro.core.columnar import ColumnBatch
 from repro.errors import ConfigurationError
 from repro.joins.xjoin import XJoin
 from repro.sim.budget import WorkBudget
@@ -30,6 +32,29 @@ def test_matches_oracle_with_spilling(small_relations):
     op = XJoin(memory_capacity=4, n_buckets=4)
     runtime = assert_matches_oracle(op, rel_a, rel_b)
     assert op.flush_count > 0
+
+
+def test_spilled_blocks_own_their_arrays():
+    # Batch delivery fills the hash arena, so extracted buckets are
+    # arena views; a spilled block must hold copies, or it would pin
+    # the whole arena array the table replaces at its next merge.
+    n = 400
+    rng = np.random.default_rng(0)
+    batch = ColumnBatch(
+        keys=rng.integers(0, 50, n),
+        tids=np.arange(n, dtype=np.int64),
+        is_a=np.arange(n) % 2 == 0,
+        times=np.zeros(n),
+    )
+    op = XJoin(memory_capacity=40, n_buckets=4)
+    runtime = make_runtime()
+    op.bind(runtime)
+    op.on_column_batch(batch)
+    blocks = [b for part in runtime.disk.partitions() for b in part]
+    assert op.flush_count > 0 and blocks
+    for block in blocks:
+        assert block.columns().keys.base is None
+        assert block.columns().tids.base is None
 
 
 def test_stage3_recovers_separated_matches():

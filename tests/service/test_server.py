@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.errors import ProtocolError
 from repro.service.server import QueryServer
 from repro.service.smoke import run_smoke, tenant_specs
 from repro.service.spec import QuerySpec
@@ -26,6 +27,12 @@ def test_smoke_specs_mix_algorithms_and_arrivals():
     assert len({s.algorithm for s in specs}) == 3
     assert len({s.seed for s in specs}) == 6
     assert {s.arrival for s in specs} == {"constant", "poisson"}
+
+
+def test_address_before_start_raises_protocol_error():
+    server = QueryServer(host="127.0.0.1", port=0)
+    with pytest.raises(ProtocolError, match="until start"):
+        server.address
 
 
 async def _request_response(host, port, requests: list[dict]) -> list[dict]:

@@ -6,7 +6,8 @@ from repro.errors import StorageError
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.storage.disk import SimulatedDisk
-from repro.storage.tuples import Tuple
+from repro.storage.filedisk import FileBackedDisk
+from repro.storage.tuples import Tuple, tuples_to_columns
 
 
 def make_disk(page_size=4, io_cost=1.0):
@@ -102,7 +103,7 @@ def test_charge_write_pages_without_storing():
 
 def test_adopt_block_registers_without_charging():
     disk, clock = make_disk()
-    block = disk.adopt_block("p", tuples(3), block_id=1)
+    block = disk.adopt_block_columns("p", tuples_to_columns(tuples(3)), block_id=1)
     assert disk.io_count == 0
     assert clock.now == 0.0
     assert disk.partition("p").blocks == [block]
@@ -111,7 +112,7 @@ def test_adopt_block_registers_without_charging():
 def test_adopt_empty_block_rejected():
     disk, _ = make_disk()
     with pytest.raises(StorageError):
-        disk.adopt_block("p", [], block_id=1)
+        disk.adopt_block_columns("p", tuples_to_columns([]), block_id=1)
 
 
 def test_block_pages_helper():
@@ -145,3 +146,45 @@ def test_partition_stats_skips_empty_partitions():
     block = disk.write_block("p", tuples(2), block_id=0)
     disk.drop_block("p", block)
     assert disk.partition_stats() == []
+
+
+@pytest.mark.parametrize("with_payloads", [False, True])
+@pytest.mark.parametrize("file_backed", [False, True])
+def test_tuple_and_column_writes_store_the_same_block(
+    tmp_path, file_backed, with_payloads
+):
+    data = [
+        Tuple(key=k, tid=i, source="B", payload=f"p{i}" if with_payloads else None)
+        for i, k in enumerate([4, 1, 9, 1, 7, 3, 3])
+    ]
+    observed = []
+    for write in ("write_block", "write_block_columns"):
+        clock = VirtualClock()
+        costs = CostModel(page_size=3, io_cost=1.0)
+        disk = (
+            FileBackedDisk(clock, costs, tmp_path / write)
+            if file_backed
+            else SimulatedDisk(clock, costs)
+        )
+        stored = data if write == "write_block" else tuples_to_columns(data)
+        block = getattr(disk, write)("p", stored, block_id=2)
+        written = (disk.pages_written, clock.now)
+        read = disk.read_block(block)
+        pages = list(disk.page_reader(block))
+        cols = disk.block_columns(block)
+        observed.append(
+            (
+                written,
+                read,
+                pages,
+                (cols.keys.tolist(), cols.tids.tolist(), cols.payloads, cols.source),
+                (disk.pages_read, clock.now),
+            )
+        )
+    assert observed[0] == observed[1]
+    written, read, pages, cols, _ = observed[0]
+    assert written == (3, 3.0)
+    assert read == data
+    assert [len(p) for p in pages] == [3, 3, 1]
+    assert cols[3] == "B"
+    assert cols[2] == ([t.payload for t in data] if with_payloads else None)

@@ -12,7 +12,7 @@ from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.sim.engine import run_join
 from repro.storage.filedisk import FileBackedDisk
-from repro.storage.tuples import Tuple, result_multiset
+from repro.storage.tuples import Tuple, result_multiset, tuples_to_columns
 from repro.workloads.generator import WorkloadSpec, make_relation_pair
 
 
@@ -75,7 +75,7 @@ def test_drop_block_deletes_the_file(tmp_path):
 
 def test_adopt_block_is_persisted(tmp_path):
     disk, _ = make_disk(tmp_path)
-    block = disk.adopt_block("p", tuples(3), block_id=1)
+    block = disk.adopt_block_columns("p", tuples_to_columns(tuples(3)), block_id=1)
     assert disk.block_path(block).exists()
     block.tuples.clear()
     assert len(disk.read_block(block)) == 3
