@@ -25,13 +25,16 @@ input and everything spilled), then the k-way join-while-merging drain
 is timed through both merge passes — the scalar per-tuple reference
 (:class:`~repro.testing.scalar_merge.ScalarMergeScheduler`) and the
 production columnar pass.  The columnar pass must beat the scalar
-oracle by at least :data:`MERGE_SPEEDUP_GATE` on identical triples,
-with at least :data:`MERGE_FLUSHED_FLOOR` of the input flushed; both
-are enforced gates, not advisory numbers.
+oracle's CPU time by at least :data:`MERGE_SPEEDUP_GATE` on identical
+triples, with at least :data:`MERGE_FLUSHED_FLOOR` of the input
+flushed; both are enforced gates, not advisory numbers.
 
 Repeats alternate the two sides of each comparison, and every ratio is
-taken between median walls; each side's interquartile range is
-recorded next to its median so a reader can judge the spread.
+taken between medians; each side's interquartile range is recorded
+next to its median so a reader can judge the spread.  The merge point
+times its drains in CPU seconds (``time.process_time``) as well as
+wall seconds, and gates on the CPU ratio: on a shared host the wall
+ratio also measures the neighbours.
 
 Optionally (``--figure-check``) one full figure scenario is also run
 through both paths, cell by cell, and any triple mismatch fails
@@ -102,7 +105,7 @@ DEFAULT_TUPLES = (100_000, 1_000_000)
 #: Default size of the memory-constrained merge-heavy point.
 DEFAULT_MERGE_TUPLES = 100_000
 
-#: Enforced floor on the columnar-over-scalar merge drain speedup.
+#: Enforced floor on the columnar-over-scalar merge drain CPU-time speedup.
 MERGE_SPEEDUP_GATE = 2.0
 
 #: Enforced floor on the flushed fraction of the merge-heavy point —
@@ -129,13 +132,16 @@ def _keep_triple(triples: dict[str, Triple], label: str, triple: Triple, what: s
         raise SimulationError(f"non-deterministic {what}")
 
 
-def _walls_summary(walls: list[float]) -> dict:
-    """Median wall, its interquartile range, and every repeat's wall."""
-    q1, median, q3 = np.percentile(walls, [25, 50, 75])
+def _timing_summary(values: list[float], name: str = "wall") -> dict:
+    """Median, interquartile range and every repeat of one timing series.
+
+    Keys are ``{name}_seconds``, ``{name}_iqr`` and ``{name}s``.
+    """
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {
-        "wall_seconds": round(float(median), 6),
-        "wall_iqr": [round(float(q1), 6), round(float(q3), 6)],
-        "walls": [round(w, 6) for w in walls],
+        f"{name}_seconds": round(float(median), 6),
+        f"{name}_iqr": [round(float(q1), 6), round(float(q3), 6)],
+        f"{name}s": [round(v, 6) for v in values],
     }
 
 
@@ -234,47 +240,60 @@ def _merge_scheduler(
     return scheduler, clock, disk, recorder
 
 
-def merge_run(kind: str, tuples_total: int, seed: int) -> tuple[Triple, float, int]:
-    """One timed full drain of the merge-heavy history through one pass."""
+def merge_run(
+    kind: str, tuples_total: int, seed: int
+) -> tuple[Triple, float, float, int]:
+    """One timed full drain of the merge-heavy history through one pass.
+
+    Returns the triple, the drain's wall and CPU seconds, and the
+    number of tuples flushed.
+    """
     scheduler, clock, disk, recorder = _merge_scheduler(kind, tuples_total, seed)
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), time.process_time()
         scheduler.work(WorkBudget.unbounded(clock))
+        cpu = time.process_time() - start_cpu
         wall = time.perf_counter() - start
     finally:
         if was_enabled:
             gc.enable()
     triple = (recorder.count, clock.now, disk.io_count)
-    return triple, wall, scheduler.tuples_flushed
+    return triple, wall, cpu, scheduler.tuples_flushed
 
 
 def merge_point(tuples_total: int, repeats: int, seed: int) -> dict:
     """Benchmark the join-while-merging drain through both merge passes.
 
     The scalar generator is the conformance oracle; the columnar pass
-    must reproduce its triple exactly and beat its wall clock by at
-    least :data:`MERGE_SPEEDUP_GATE`, median against median.  Gate
-    outcomes are part of the payload so the tracked artifact shows
-    *why* a run failed.
+    must reproduce its triple exactly and beat its CPU time by at
+    least :data:`MERGE_SPEEDUP_GATE`, median against median.  The wall
+    ratio is recorded beside it.  Gate outcomes are part of the
+    payload so the tracked artifact shows *why* a run failed.
     """
     walls: dict[str, list[float]] = {kind: [] for kind in MERGE_SCHEDULERS}
+    cpus: dict[str, list[float]] = {kind: [] for kind in MERGE_SCHEDULERS}
     triples: dict[str, Triple] = {}
     flushed = 0
     for _ in range(repeats):
         for kind in MERGE_SCHEDULERS:
-            triple, wall, flushed = merge_run(kind, tuples_total, seed)
+            triple, wall, cpu, flushed = merge_run(kind, tuples_total, seed)
             walls[kind].append(wall)
+            cpus[kind].append(cpu)
             _keep_triple(triples, kind, triple, f"{kind} merge drain")
-    summary = {kind: _walls_summary(times) for kind, times in walls.items()}
+    summary = {
+        kind: {**_timing_summary(walls[kind]), **_timing_summary(cpus[kind], "cpu")}
+        for kind in MERGE_SCHEDULERS
+    }
     flushed_fraction = flushed / tuples_total
     speedup = summary["scalar"]["wall_seconds"] / summary["columnar"]["wall_seconds"]
+    speedup_cpu = summary["scalar"]["cpu_seconds"] / summary["columnar"]["cpu_seconds"]
     triples_match = len(set(triples.values())) == 1
     gate_passed = (
         triples_match
-        and speedup >= MERGE_SPEEDUP_GATE
+        and speedup_cpu >= MERGE_SPEEDUP_GATE
         and flushed_fraction >= MERGE_FLUSHED_FLOOR
     )
     return {
@@ -288,6 +307,7 @@ def merge_point(tuples_total: int, repeats: int, seed: int) -> dict:
         "repeats": repeats,
         **summary,
         "speedup_merge": round(speedup, 4),
+        "speedup_merge_cpu": round(speedup_cpu, 4),
         "triple": {
             "count": triples["scalar"][0],
             "final_clock": triples["scalar"][1],
@@ -372,7 +392,7 @@ def kernel_point(tuples_total: int, repeats: int, seed: int) -> dict:
             triple, wall = kernel_run(rel_a, rel_b, memory, batched)
             walls[label].append(wall)
             _keep_triple(triples, label, triple, f"{label} run")
-    summary = {label: _walls_summary(times) for label, times in walls.items()}
+    summary = {label: _timing_summary(times) for label, times in walls.items()}
     return {
         "workload": {
             "arrival": "constant-rate",
@@ -493,10 +513,13 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"merge bench [{merge['workload']['tuples_total']} tuples, "
             f"{merge['workload']['flushed_fraction']:.0%} flushed]: "
-            f"scalar {merge['scalar']['wall_seconds']:.3f}s, "
-            f"columnar {merge['columnar']['wall_seconds']:.3f}s | "
-            f"columnar {merge['speedup_merge']:.2f}x over scalar "
-            f"(gate >= {merge['gates']['speedup_floor']:.1f}x: "
+            f"scalar {merge['scalar']['cpu_seconds']:.3f}s CPU "
+            f"({merge['scalar']['wall_seconds']:.3f}s wall), "
+            f"columnar {merge['columnar']['cpu_seconds']:.3f}s CPU "
+            f"({merge['columnar']['wall_seconds']:.3f}s wall) | "
+            f"columnar {merge['speedup_merge_cpu']:.2f}x CPU "
+            f"({merge['speedup_merge']:.2f}x wall) over scalar "
+            f"(CPU gate >= {merge['gates']['speedup_floor']:.1f}x: "
             f"{'pass' if merge['gate_passed'] else 'FAIL'})"
         )
     if args.figure_check:

@@ -4,10 +4,11 @@ The event kernel already delivers *run batches* — maximal runs of
 consecutive arrivals — to the operators.  This module carries those
 batches as columns end-to-end: a :class:`ColumnBatch` of contiguous
 ``keys``/``tids``/``times`` arrays flows from the network source
-through the scheduler to an operator's ``on_column_batch``, which runs
-the shared :func:`run_columnar_batch` driver on top of the hash
-table's array-native :meth:`~repro.core.hashing.DualHashTable.
-probe_insert_batch`.  No ``Tuple`` is boxed on the hot path; results
+through the scheduler to an operator's ``on_column_batch``.  HMJ's
+runs :func:`run_columnar_batch` on top of the hash table's
+array-native :meth:`~repro.core.hashing.DualHashTable.
+probe_insert_batch`; every other operator boxes the batch and replays
+it through ``on_tuple``.  No ``Tuple`` is boxed on the hot path; results
 reach the recorder as lazy :class:`ResultColumns` segments.
 
 **Determinism.**  The virtual-clock recurrence is the one part that
@@ -33,7 +34,7 @@ per-tuple path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, TYPE_CHECKING
+from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
@@ -126,16 +127,6 @@ class ResultColumns:
         return out
 
 
-class _SegmentHook(Protocol):  # pragma: no cover - typing only
-    def __call__(
-        self,
-        lo: int,
-        hi: int,
-        plan: "BatchProbeResult",
-        row_times: list[float],
-    ) -> None: ...
-
-
 def _clock_walk(
     now: float,
     ats: list[float],
@@ -145,14 +136,12 @@ def _clock_walk(
     compare_cost: float,
     result_cost: float,
     skip_first: bool,
-    row_times: list[float] | None,
 ) -> tuple[list[float], float]:
     """The sequential scalar clock recurrence over one segment.
 
     Per row: advance to the arrival instant, charge the per-tuple
-    cost, (optionally append the row's post-charge instant — XJoin's
-    ATS — to ``row_times``), charge the probe comparisons, then charge
-    and timestamp each emitted result.  ``skip_first`` marks a segment whose first row's
+    cost, charge the probe comparisons, then charge and timestamp each
+    emitted result.  ``skip_first`` marks a segment whose first row's
     arrival + tuple cost were already charged at the flush boundary.
 
     This loop is intentionally NOT vectorized: the identical
@@ -161,7 +150,6 @@ def _clock_walk(
     """
     res_times: list[float] = []
     res_append = res_times.append
-    row_append = row_times.append if row_times is not None else None
     for at, c, m in zip(ats, cands, mcounts):
         if skip_first:
             skip_first = False
@@ -169,8 +157,6 @@ def _clock_walk(
             if at > now:
                 now = at
             now += tuple_cost
-        if row_append is not None:
-            row_append(now)
         if c:
             now += c * compare_cost
         for _ in range(m):
@@ -212,16 +198,13 @@ def run_columnar_batch(
     memory: "MemoryPool",
     flush: Callable[[], None],
     phase: str,
-    on_segment: "_SegmentHook | None" = None,
 ) -> None:
     """Drive one hashing-phase delivery batch through the columnar path.
 
-    The shared core of ``HashMergeJoin.on_column_batch`` and
-    ``XJoin.on_column_batch``: both operators' hashing phases are the
-    same probe/insert/flush loop up to the flush policy (``flush``),
-    the recorded ``phase``, and per-row bookkeeping (``on_segment``,
-    which also receives each row's post-charge instant — XJoin's
-    arrival timestamps).
+    The core of ``HashMergeJoin.on_column_batch``: the per-tuple
+    probe/insert/flush loop of :meth:`~repro.joins.base.
+    SymmetricHashStage.on_tuple`, with the operator's flush policy
+    (``flush``) and recorded ``phase``.
 
     Equivalence to the per-tuple protocol: the batch is processed in
     segments that fit the free memory, the scalar :func:`_clock_walk`
@@ -300,7 +283,6 @@ def run_columnar_batch(
             buckets[lo:hi],
             need_pairs=need_pairs,
         )
-        row_times: list[float] = []
         res_times, now = _clock_walk(
             now,
             times_l[lo:hi],
@@ -310,7 +292,6 @@ def run_columnar_batch(
             compare_cost,
             result_cost,
             pending,
-            row_times if on_segment is not None else None,
         )
         pending = False
         if plan.total_matches:
@@ -328,8 +309,6 @@ def run_columnar_batch(
         seg_peak = int(np.abs(running).max())
         if seg_peak > peak:
             peak = seg_peak
-        if on_segment is not None:
-            on_segment(lo, hi, plan, row_times)
         lo = hi
     clock.resync(now)
     memory.set_used(used)

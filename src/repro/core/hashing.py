@@ -87,10 +87,6 @@ class BatchProbeResult:
             (the probe CPU charge basis), int64, one entry per batch row.
         match_counts: Per-row number of matches emitted, int64.
         total_matches: ``match_counts.sum()``.
-        buckets_a: Bucket of each inserted source-A row, ascending —
-            per-bucket bookkeeping (XJoin's insert counts) reads these
-            instead of re-hashing.
-        buckets_b: Same for source B.
         probe_rows: Batch-row index of each match's probing side, in
             exact per-tuple emission order (``None`` when the caller
             requested counts only — the ``keep_results=False`` fast path).
@@ -103,8 +99,6 @@ class BatchProbeResult:
     candidates: np.ndarray
     match_counts: np.ndarray
     total_matches: int
-    buckets_a: np.ndarray
-    buckets_b: np.ndarray
     probe_rows: np.ndarray | None = None
     build_tids: np.ndarray | None = None
     build_payloads: list | None = None
@@ -603,8 +597,6 @@ class DualHashTable:
                 candidates=_EMPTY,
                 match_counts=_EMPTY,
                 total_matches=0,
-                buckets_a=_EMPTY,
-                buckets_b=_EMPTY,
             )
         arena = self._arena
         arena.fold()
@@ -722,11 +714,11 @@ class DualHashTable:
 
         # Inserts: one merge at the rows' slot ends, source A's rows
         # (by bucket) before source B's.
-        buckets_a = sb[ia_sorted]
-        buckets_b = sb[~ia_sorted]
+        sb_a = sb[ia_sorted]
+        sb_b = sb[~ia_sorted]
         rows = np.concatenate((order_b[ia_sorted], order_b[~ia_sorted]))
         arena.merge(
-            np.concatenate((buckets_a, buckets_b + n_slots)),
+            np.concatenate((sb_a, sb_b + n_slots)),
             keys[rows],
             tids[rows],
             None if pays is None else pays[rows],
@@ -737,16 +729,14 @@ class DualHashTable:
         # lowest-index argmax, same as the running update would.
         garr = self._group_arr
         ng = self._n_groups
-        deltas_a = np.bincount(garr[buckets_a], minlength=ng)
-        deltas_b = np.bincount(garr[buckets_b], minlength=ng)
+        deltas_a = np.bincount(garr[sb_a], minlength=ng)
+        deltas_b = np.bincount(garr[sb_b], minlength=ng)
         self._summary.add_delta_arrays(deltas_a, deltas_b)
 
         return BatchProbeResult(
             candidates=candidates,
             match_counts=match_counts,
             total_matches=total_matches,
-            buckets_a=buckets_a,
-            buckets_b=buckets_b,
             probe_rows=probe_rows,
             build_tids=build_tids,
             build_payloads=build_pays,
@@ -756,7 +746,7 @@ class DualHashTable:
 
     @property
     def split_epoch(self) -> int:
-        """Monotone counter bumped by every split/merge.
+        """Monotone counter bumped by every sub-split.
 
         Batch drivers that pre-hash a whole key column compare epochs
         around a flush: a change means previously computed bucket
@@ -799,74 +789,34 @@ class DualHashTable:
             raise ConfigurationError(f"group {group} is already split")
         base = range(*self._bucket_ranges(group)[0])
         ext_start = self._slots
-        buckets, is_b = self._arena_buckets()
+        n_slots = ext_start + factor * len(base)
+        # Bucket and source of every (folded) arena entry.
+        slots = self._arena.slot_ids()
+        is_b = slots >= ext_start
+        buckets = slots - ext_start * is_b
         rows = np.flatnonzero((buckets >= base.start) & (buckets < base.stop))
         buckets[rows] = (
             ext_start
             + (buckets[rows] - base.start) * factor
             + self.subhash_batch(self._arena.keys[rows], factor)
         )
-        self._relayout(buckets, is_b, ext_start + factor * len(base))
+        self._arena.relayout(buckets + n_slots * is_b, 2 * n_slots)
+        self._slots = n_slots
         self._group_arr = np.concatenate(
             (self._group_arr, np.full(factor * len(base), group, dtype=np.int64))
         )
         for i, b in enumerate(base):
             self._split_base[b] = (ext_start + i * factor, factor)
         self._split_groups[group] = (ext_start, factor)
-        self._rebuild_split_arrays()
-        return len(rows)
-
-    def merge_group(self, group: int) -> int:
-        """Undo :meth:`subsplit_group`: gather extensions back in place.
-
-        Each base bucket's tuples are concatenated back from its
-        extension slots in sub-bucket order; trailing unreferenced
-        extension slots are trimmed.  Returns the number of tuples
-        moved (both sources).
-        """
-        if group not in self._split_groups:
-            raise ConfigurationError(f"group {group} is not split")
-        ext_start, factor = self._split_groups.pop(group)
-        base = range(*self._bucket_ranges(group)[0])
-        for b in base:
-            del self._split_base[b]
-        buckets, is_b = self._arena_buckets()
-        rows = np.flatnonzero(
-            (buckets >= ext_start) & (buckets < ext_start + factor * len(base))
-        )
-        buckets[rows] = base.start + (buckets[rows] - ext_start) // factor
-        # Drop trailing extension slots no remaining split references.
-        n_slots = max(
-            [self._n_buckets] + [self._bucket_ranges(g)[1][1] for g in self._split_groups]
-        )
-        self._relayout(buckets, is_b, n_slots)
-        self._group_arr = self._group_arr[:n_slots]
-        self._rebuild_split_arrays()
-        return len(rows)
-
-    def _arena_buckets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bucket and is-source-B flag of every (folded) arena entry."""
-        slots = self._arena.slot_ids()
-        is_b = slots >= self._slots
-        return slots - self._slots * is_b, is_b
-
-    def _relayout(self, buckets: np.ndarray, is_b: np.ndarray, n_slots: int) -> None:
-        """Re-slot the arena for ``n_slots`` bucket slots per source."""
-        self._arena.relayout(buckets + n_slots * is_b, 2 * n_slots)
-        self._slots = n_slots
-
-    def _rebuild_split_arrays(self) -> None:
-        """Refresh the vectorized routing twins and bump the epoch."""
+        # The vectorized routing twins of ``_split_base``.
+        route = np.full(n_slots, -1, dtype=np.int64)
+        fac = np.ones(n_slots, dtype=np.int64)
+        for b, (start, f) in self._split_base.items():
+            route[b] = start
+            fac[b] = f
+        self._split_arrays = (route, fac)
         self._split_epoch += 1
-        if not self._split_base:
-            self._split_arrays = None
-            return
-        base = np.full(self._slots, -1, dtype=np.int64)
-        fac = np.ones(self._slots, dtype=np.int64)
-        for b, (ext_start, factor) in self._split_base.items():
-            base[b] = ext_start
-            fac[b] = factor
-        self._split_arrays = (base, fac)
+        return len(rows)
 
     # -- extraction and inspection ----------------------------------------
 

@@ -85,7 +85,7 @@ class HashMergeJoin(SymmetricHashStage):
     def on_column_batch(self, batch: ColumnBatch) -> None:
         """Array-native hashing loop over one columnar delivery batch.
 
-        The shared :func:`~repro.core.columnar.run_columnar_batch`
+        The :func:`~repro.core.columnar.run_columnar_batch`
         driver with HMJ's flush policy and phase label: hashing,
         bucket grouping, matching, and inserts run vectorized while the
         clock walks the exact per-tuple charge sequence — triples and

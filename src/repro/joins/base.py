@@ -318,10 +318,11 @@ class SymmetricHashStage(StreamingJoinOperator):
     (:meth:`_flush`) and phase label (``PHASE_HASHING``), and XJoin its
     per-row bookkeeping (:meth:`_record_row`).
 
-    The columnar driver (:func:`~repro.core.columnar.run_columnar_batch`)
-    reproduces this step with the pool-wide room rule, so a subclass
-    that customises :meth:`on_tuple` or :meth:`_make_room` has its
-    batches replayed per tuple instead (:meth:`_replayed`).
+    Column batches are replayed through this step, except in HMJ: its
+    columnar loop (:func:`~repro.core.columnar.run_columnar_batch`)
+    reproduces the step with the pool-wide room rule, so an HMJ
+    subclass that customises :meth:`on_tuple` or :meth:`_make_room` has
+    its batches replayed per tuple instead (:meth:`_replayed`).
     """
 
     #: Phase label of results the hashing step emits.

@@ -11,39 +11,30 @@ The hash-based state of the art HMJ is measured against.  Three stages:
 * **stage 3** (cleanup, at end of input): remaining memory is flushed
   and same-bucket disk partition pairs are joined.
 
-Duplicate prevention follows XJoin's timestamp scheme: each tuple
-carries an arrival timestamp (ATS) and a departure-to-disk timestamp
-(DTS); a pair whose residency intervals overlapped was already produced
-by stage 1 and is suppressed in stages 2/3.  Stage-2 re-production is
-suppressed by one of two interchangeable mechanisms, selected with
-``duplicate_mode``:
+Duplicate prevention is XJoin's constant-space timestamp scheme.  Each
+tuple carries an arrival timestamp (ATS) and a departure-to-disk
+timestamp (DTS), kept per source by tid.  A pair whose residency
+intervals ``[ATS, DTS)`` overlapped was produced by stage 1.  Each
+completed stage-2 pass records a *usage* ``probe_ts`` on its disk
+partition: every block flushed by ``probe_ts`` was joined against the
+memory image resident at ``probe_ts``.  A later candidate pair (disk
+tuple ``d``, tuple ``m``) is skipped iff some usage covers it:
+``DTS(d) <= probe_ts`` and ``ATS(m) <= probe_ts < DTS(m)``.
 
-* ``"memo"`` (default) — pairs produced by stage 2 are remembered
-  exactly, so later passes and stage 3 never repeat them.  Simple and
-  exact; O(stage-2 output) memory.
-* ``"timestamps"`` — the original paper's constant-space scheme: each
-  completed stage-2 pass records a *usage* ``(dts_last, probe_ts)`` on
-  its disk partition, meaning "every block flushed by ``dts_last`` was
-  joined against the memory image resident at ``probe_ts``".  A later
-  candidate pair (disk tuple ``d``, tuple ``m``) is skipped iff some
-  usage covers it: ``DTS(d) <= dts_last`` and
-  ``ATS(m) <= probe_ts < DTS(m)``.
-
-A property test asserts the two modes produce identical outputs over
-random workloads.
+Stage 1 is the shared per-tuple step (:meth:`SymmetricHashStage.on_tuple`);
+column batches are replayed through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Iterator
 
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.core.columnar import ColumnBatch, run_columnar_batch
-from repro.core.hashing import BatchProbeResult, DualHashTable
+# Unused here: kept only so the ``repro.joins.xjoin:run_columnar_batch``
+# trace point of ``python -m perf --trace`` still resolves.
+from repro.core.columnar import run_columnar_batch  # noqa: F401
+from repro.core.hashing import DualHashTable
 from repro.joins.base import SymmetricHashStage
 from repro.sim.budget import WorkBudget
 from repro.storage.memory import MemoryPool
@@ -61,12 +52,7 @@ class XJoin(SymmetricHashStage):
     PHASE_STAGE2 = "stage2"
     PHASE_STAGE3 = "stage3"
 
-    def __init__(
-        self,
-        memory_capacity: int,
-        n_buckets: int | None = None,
-        duplicate_mode: str = "memo",
-    ) -> None:
+    def __init__(self, memory_capacity: int, n_buckets: int | None = None) -> None:
         super().__init__()
         if memory_capacity < 2:
             raise ConfigurationError(
@@ -78,21 +64,14 @@ class XJoin(SymmetricHashStage):
             n_buckets = max(64, memory_capacity // 32)
         if n_buckets < 1:
             raise ConfigurationError(f"n_buckets must be >= 1, got {n_buckets}")
-        if duplicate_mode not in ("memo", "timestamps"):
-            raise ConfigurationError(
-                f"duplicate_mode must be 'memo' or 'timestamps', "
-                f"got {duplicate_mode!r}"
-            )
         self._capacity = memory_capacity
         self._n_buckets = n_buckets
-        self._duplicate_mode = duplicate_mode
-        # Timestamp bookkeeping: arrival (ATS) and flush (DTS) instants.
-        self._ats: dict[tuple[str, int], float] = {}
-        self._dts: dict[tuple[str, int], float] = {}
-        # Exact identities of pairs produced by stage 2 ("memo" mode).
-        self._disk_produced: set[tuple] = set()
+        # Timestamp bookkeeping, per source by tid: arrival (ATS) and
+        # flush (DTS) instants.
+        self._ats: dict[str, dict[int, float]] = {SOURCE_A: {}, SOURCE_B: {}}
+        self._dts: dict[str, dict[int, float]] = {SOURCE_A: {}, SOURCE_B: {}}
         # Completed stage-2 pass timestamps per (source, bucket)
-        # partition ("timestamps" mode).
+        # partition.
         self._usages: dict[tuple[str, int], list[float]] = {}
         # (source, bucket) -> (disk block count, opposite insert count)
         # at the time of the last stage-2 pass; unchanged => skip.
@@ -111,63 +90,9 @@ class XJoin(SymmetricHashStage):
 
     def _record_row(self, t: Tuple, bucket: int) -> None:
         """Stamp ``t``'s arrival (ATS) and count the insert into ``bucket``."""
-        self._ats[t.identity()] = self.clock.now
+        self._ats[t.source][t.tid] = self.clock.now
         key = (t.source, bucket)
         self._insert_counts[key] = self._insert_counts.get(key, 0) + 1
-
-    def on_column_batch(self, batch: ColumnBatch) -> None:
-        """Array-native stage-1 loop over one columnar delivery batch.
-
-        The shared :func:`~repro.core.columnar.run_columnar_batch`
-        driver with XJoin's flush policy, plus the per-row bookkeeping
-        stage 1 needs: the driver hands back each segment's post-charge
-        row instants (the ATS values :meth:`_record_row` takes from the
-        live clock) and the probe plan's per-bucket insert runs (the
-        stage-2 version counters).  Subclasses the driver cannot
-        reproduce — the static-memory variant, with its per-source
-        halves — are replayed through :meth:`on_tuple` instead.
-        """
-        if self._replayed(batch):
-            return
-        ats = self._ats
-        insert_counts = self._insert_counts
-        tids = batch.tids
-        isa = batch.is_a
-
-        def record_segment(
-            lo: int,
-            hi: int,
-            plan: BatchProbeResult,
-            row_times: list[float],
-        ) -> None:
-            seg_isa = isa[lo:hi]
-            seg_tids = tids[lo:hi]
-            # ``asarray`` of Python floats and ``tolist`` back are both
-            # bit-exact, so the masked gather preserves every instant.
-            rt = np.asarray(row_times)
-            for src, mask in ((SOURCE_A, seg_isa), (SOURCE_B, ~seg_isa)):
-                side_tids = seg_tids[mask].tolist()
-                if side_tids:
-                    ats.update(
-                        zip(
-                            ((src, t) for t in side_tids),
-                            rt[mask].tolist(),
-                        )
-                    )
-            for buckets, src in ((plan.buckets_a, SOURCE_A), (plan.buckets_b, SOURCE_B)):
-                for bucket in buckets.tolist():
-                    key = (src, bucket)
-                    insert_counts[key] = insert_counts.get(key, 0) + 1
-
-        run_columnar_batch(
-            self,
-            batch,
-            table=self.table,
-            memory=self.memory,
-            flush=self._flush,
-            phase=self.PHASE_HASHING,
-            on_segment=record_segment,
-        )
 
     def _flush(self) -> None:
         """Flush the single largest bucket of either source, unsorted."""
@@ -197,13 +122,10 @@ class XJoin(SymmetricHashStage):
             return 0
         partition = self._partition_name(source, bucket)
         block_id = len(self.disk.partition(partition).blocks)
-        # Owned copies: a stored arena view would pin the whole arena
-        # array the table replaces at its next merge.
-        stored = replace(cols, keys=cols.keys.copy(), tids=cols.tids.copy())
-        self.disk.write_block_columns(partition, stored, block_id, sorted_by_key=False)
-        now = self.clock.now
-        for tid in cols.tids.tolist():
-            self._dts[(source, tid)] = now
+        # Stored as extracted: the table only takes per-tuple inserts,
+        # so these are fresh arrays, not views of its arena.
+        self.disk.write_block_columns(partition, cols, block_id, sorted_by_key=False)
+        self._dts[source].update(dict.fromkeys(cols.tids.tolist(), self.clock.now))
         self.memory.release(n)
         return n
 
@@ -293,8 +215,8 @@ class XJoin(SymmetricHashStage):
         ``probe_ts`` (the pass start) and the block/memory snapshots
         are taken together, so the pass joins exactly the blocks with
         ``DTS <= probe_ts`` against the tuples resident at
-        ``probe_ts`` — the coverage the timestamps mode records when
-        the pass completes.
+        ``probe_ts`` — the coverage its usage records when the pass
+        completes.
         """
         probe_ts = self.clock.now
         other = SOURCE_B if source == SOURCE_A else SOURCE_A
@@ -314,10 +236,9 @@ class XJoin(SymmetricHashStage):
                         self._emit_disk_pair(d, m, self.PHASE_STAGE2, bucket)
                     yield
         self.log_event("stage2-pass", source=source, bucket=bucket)
-        if self._duplicate_mode == "timestamps":
-            # Only a *completed* pass guarantees full coverage; the
-            # usage is therefore recorded here, at generator exhaustion.
-            self._usages.setdefault((source, bucket), []).append(probe_ts)
+        # Only a *completed* pass guarantees full coverage; the usage is
+        # therefore recorded here, at generator exhaustion.
+        self._usages.setdefault((source, bucket), []).append(probe_ts)
 
     # -- stage 3 ------------------------------------------------------------
 
@@ -325,8 +246,7 @@ class XJoin(SymmetricHashStage):
         """Cleanup: flush remaining memory, then join disk partitions.
 
         A stage-2 pass suspended by an unblocked source is completed
-        first: in timestamps mode its coverage record only exists once
-        it finishes, and stage 3 relies on that record to avoid
+        first: its coverage record only exists once it finishes, and stage 3 relies on that record to avoid
         re-emitting the pass's output.
         """
         active = self._stage2_active
@@ -375,18 +295,12 @@ class XJoin(SymmetricHashStage):
         self, first: Tuple, second: Tuple, phase: str, bucket: int
     ) -> None:
         """Emit a disk-derived pair unless stage 1 or stage 2 produced it."""
-        if self._overlapped_in_memory(first, second):
+        if (
+            self._overlapped_in_memory(first, second)
+            or self._covered_by_usage(first, second, bucket)
+            or self._covered_by_usage(second, first, bucket)
+        ):
             return
-        if self._duplicate_mode == "memo":
-            ident = self._pair_identity(first, second)
-            if ident in self._disk_produced:
-                return
-            self._disk_produced.add(ident)
-        else:
-            if self._covered_by_usage(first, second, bucket) or (
-                self._covered_by_usage(second, first, bucket)
-            ):
-                return
         self.emit(first, second, phase)
 
     def _covered_by_usage(self, disk_side: Tuple, mem_side: Tuple, bucket: int) -> bool:
@@ -400,9 +314,9 @@ class XJoin(SymmetricHashStage):
         usages = self._usages.get((disk_side.source, bucket))
         if not usages:
             return False
-        dts_disk = self._dts.get(disk_side.identity(), _INF)
-        ats_mem = self._ats[mem_side.identity()]
-        dts_mem = self._dts.get(mem_side.identity(), _INF)
+        dts_disk = self._dts[disk_side.source].get(disk_side.tid, _INF)
+        ats_mem = self._ats[mem_side.source][mem_side.tid]
+        dts_mem = self._dts[mem_side.source].get(mem_side.tid, _INF)
         return any(
             dts_disk <= probe_ts and ats_mem <= probe_ts < dts_mem
             for probe_ts in usages
@@ -415,17 +329,11 @@ class XJoin(SymmetricHashStage):
         the earlier one iff the intervals overlap, which is exactly
         when stage 1 already emitted the pair.
         """
-        ats_1 = self._ats[first.identity()]
-        ats_2 = self._ats[second.identity()]
-        dts_1 = self._dts.get(first.identity(), _INF)
-        dts_2 = self._dts.get(second.identity(), _INF)
+        ats_1 = self._ats[first.source][first.tid]
+        ats_2 = self._ats[second.source][second.tid]
+        dts_1 = self._dts[first.source].get(first.tid, _INF)
+        dts_2 = self._dts[second.source].get(second.tid, _INF)
         return ats_1 < dts_2 and ats_2 < dts_1
-
-    @staticmethod
-    def _pair_identity(first: Tuple, second: Tuple) -> tuple:
-        if first.source == SOURCE_A:
-            return (first.identity(), second.identity())
-        return (second.identity(), first.identity())
 
     def _partition_name(self, source: str, bucket: int) -> str:
         return f"xjoin/{source}/bucket{bucket}"

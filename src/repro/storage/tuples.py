@@ -136,6 +136,28 @@ class RelationColumns:
 _KEY, _TID, _PAYLOAD = attrgetter("key"), attrgetter("tid"), attrgetter("payload")
 
 
+def _int64_column(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
+    """``values`` as a contiguous ``int64`` array, cast only when lossless.
+
+    A float, string, ``None``, nested or out-of-range value raises
+    :class:`~repro.errors.StorageError`; a plain cast would store
+    ``1.5`` as 1 and ``'3'`` as 3 without a word.  An ``int64`` array
+    is checked by its shape and dtype alone.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting of sequences
+        raise StorageError(f"{what} must be a flat sequence of integers") from exc
+    if arr.ndim != 1 or (
+        arr.dtype != np.int64 and len(arr) and not np.can_cast(arr.dtype, np.int64)
+    ):
+        raise StorageError(
+            f"{what} must be a flat sequence of integers that fit in int64, "
+            f"got {arr.ndim}-d {arr.dtype} values"
+        )
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 def tuples_to_columns(
     ts: Sequence[Tuple], source: str | None = None
 ) -> RelationColumns:
@@ -144,21 +166,15 @@ def tuples_to_columns(
     The one conversion into the stored form (relations and disk
     blocks hold columns): contiguous ``int64`` key/tid arrays plus a
     payload list only when at least one payload is non-``None``.  A
-    key or tid outside ``int64`` raises
+    key or tid that is not an integer in ``int64`` range raises
     :class:`~repro.errors.StorageError`.
     """
-    n = len(ts)
     payloads: list | None = list(map(_PAYLOAD, ts))
-    if payloads.count(None) == n:
+    if payloads.count(None) == len(ts):
         payloads = None
-    try:
-        keys = np.fromiter(map(_KEY, ts), dtype=np.int64, count=n)
-        tids = np.fromiter(map(_TID, ts), dtype=np.int64, count=n)
-    except OverflowError as exc:
-        raise StorageError(f"key or tid does not fit in int64: {exc}") from exc
     return RelationColumns(
-        keys=keys,
-        tids=tids,
+        keys=_int64_column(list(map(_KEY, ts)), "keys"),
+        tids=_int64_column(list(map(_TID, ts)), "tids"),
         payloads=payloads,
         source=ts[0].source if ts else (source or SOURCE_A),
     )
@@ -244,13 +260,14 @@ class Relation:
         """Build a relation whose tuples carry the given keys in order.
 
         The keys are stored as one contiguous array; ``Tuple`` objects
-        only exist once a consumer asks for them.
+        only exist once a consumer asks for them.  A key that is not an
+        integer in ``int64`` range raises
+        :class:`~repro.errors.StorageError`.
         """
         schema = Schema(name=name or f"relation_{source}", key_range=key_range)
-        if isinstance(keys, np.ndarray):
-            key_arr = np.ascontiguousarray(keys, dtype=np.int64)
-        else:
-            key_arr = np.asarray(list(keys), dtype=np.int64)
+        if not isinstance(keys, np.ndarray):
+            keys = list(keys)
+        key_arr = _int64_column(keys, "keys")
         rel = cls(schema=schema)
         rel._tuples = None
         rel._columns = RelationColumns(

@@ -15,7 +15,7 @@ from repro.bench.kernel import (
     MERGE_SCHEDULERS,
     MERGE_SPEEDUP_GATE,
     _keep_triple,
-    _walls_summary,
+    _timing_summary,
     merge_point,
     merge_run,
 )
@@ -24,11 +24,11 @@ from repro.errors import SimulationError
 
 def test_merge_run_paths_agree_on_triple_and_flushed():
     outcomes = {kind: merge_run(kind, 2_000, seed=7) for kind in MERGE_SCHEDULERS}
-    triples = {triple for triple, _, _ in outcomes.values()}
+    triples = {triple for triple, *_ in outcomes.values()}
     assert len(triples) == 1
     (count, clock, io) = triples.pop()
     assert count > 0 and clock > 0 and io > 0
-    flushed = {flushed for _, _, flushed in outcomes.values()}
+    flushed = {flushed for *_, flushed in outcomes.values()}
     assert len(flushed) == 1  # same history on both paths
 
 
@@ -47,18 +47,23 @@ def test_merge_point_schema_and_gate_accounting():
     for kind in MERGE_SCHEDULERS:
         assert point[kind]["wall_seconds"] > 0
         assert len(point[kind]["walls"]) == 1
+        assert point[kind]["cpu_seconds"] > 0
+        assert len(point[kind]["cpus"]) == 1
     # gate_passed folds in the (timing-dependent) speedup floor; at this
     # scale only its deterministic inputs are assertable.
     assert point["speedup_merge"] > 0
+    assert point["speedup_merge_cpu"] > 0
     assert isinstance(point["gate_passed"], bool)
 
 
 def test_walls_summary_reports_median_and_iqr():
-    summary = _walls_summary([0.4, 0.1, 0.3, 0.2, 9.0])
+    summary = _timing_summary([0.4, 0.1, 0.3, 0.2, 9.0])
     # One slow outlier moves neither the median nor the quartiles far.
     assert summary["wall_seconds"] == 0.3
     assert summary["wall_iqr"] == [0.2, 0.4]
     assert summary["walls"] == [0.4, 0.1, 0.3, 0.2, 9.0]
+    cpu = _timing_summary([0.2, 0.1, 0.3], "cpu")
+    assert cpu == {"cpu_seconds": 0.2, "cpu_iqr": [0.15, 0.25], "cpus": [0.2, 0.1, 0.3]}
 
 
 def test_differing_repeat_triple_raises_typed_error():

@@ -251,7 +251,6 @@ _OPS = st.lists(
             st.sampled_from(["boxed", "columns", "discard"]),
         ),
         st.tuples(st.just("split"), st.integers(min_value=0, max_value=3), st.integers(2, 4)),
-        st.tuples(st.just("merge"), st.integers(min_value=0, max_value=3)),
         st.tuples(st.just("largest"), st.none() | _SOURCES),
     ),
     max_size=30,
@@ -262,7 +261,7 @@ class _Model:
     """The reference: one insertion-ordered tuple list per (source, bucket).
 
     Routing comes from the table under test (``bucket_of``); storage,
-    probing, extraction, sub-split and merge are modelled here.
+    probing, extraction and sub-split are modelled here.
     """
 
     def __init__(self, table):
@@ -295,14 +294,6 @@ class _Model:
             for source in (SOURCE_A, SOURCE_B):
                 for tup in self.cols.pop((source, b), []):
                     self.col(source, self.table.bucket_of(tup.key)).append(tup)
-
-    def merge(self, group, buckets, factor):
-        base = [b for b in buckets if b < self.table.n_buckets]
-        ext = buckets[len(base):]
-        for i, b in enumerate(base):
-            for source in (SOURCE_A, SOURCE_B):
-                for e in ext[i * factor:(i + 1) * factor]:
-                    self.col(source, b).extend(self.cols.pop((source, e), []))
 
     def largest(self, source):
         best, best_size = (SOURCE_A, 0), -1
@@ -353,10 +344,6 @@ def _check_differential(shape, payloads, ops):
                     assert not any(build_pays)
                 else:
                     assert plan.build_payloads == build_pays
-            for source, buckets in ((SOURCE_A, plan.buckets_a), (SOURCE_B, plan.buckets_b)):
-                assert buckets.tolist() == sorted(
-                    b for r, (_, _, b) in zip(rows, expected) if r.source == source
-                )
         elif kind == "extract":
             _, source, group, how = op
             group %= table.n_groups
@@ -381,16 +368,6 @@ def _check_differential(shape, payloads, ops):
                 )
                 assert table.subsplit_group(group, op[2]) == held
                 model.split(group)
-        elif kind == "merge":
-            group = op[1] % table.n_groups
-            if table.is_split(group):
-                buckets = list(table.buckets_in_group(group))
-                factor = table.split_factor(group)
-                held = sum(
-                    len(model.col(s, b)) for s in (SOURCE_A, SOURCE_B) for b in buckets
-                )
-                assert table.merge_group(group) == held
-                model.merge(group, buckets, factor)
         else:
             assert table.largest_bucket(op[1]) == model.largest(op[1])
         for source in (SOURCE_A, SOURCE_B):
@@ -432,7 +409,6 @@ def _check_differential(shape, payloads, ops):
         ("tuple", SOURCE_B, 4, None),
         ("extract", SOURCE_A, 1, "boxed"),
         ("extract", SOURCE_B, 2, "discard"),
-        ("merge", 1),
         ("batch", [(SOURCE_B, 2, None), (SOURCE_A, 2, None)], True),
         ("largest", SOURCE_B),
     ],

@@ -40,8 +40,6 @@ def test_subsplit_validation():
     with pytest.raises(ConfigurationError):
         table.subsplit_group(0, 2)  # already split
     with pytest.raises(ConfigurationError):
-        table.merge_group(1)  # not split
-    with pytest.raises(ConfigurationError):
         table.is_split(9)
     with pytest.raises(ConfigurationError):
         table.split_factor(9)
@@ -58,10 +56,6 @@ def test_subsplit_bookkeeping():
     assert table.is_split(2)
     assert table.split_factor(2) == 4
     assert table.split_groups() == [2]
-    table.merge_group(2)
-    assert table.split_epoch == 2
-    assert not table.is_split(2)
-    assert table.split_groups() == []
 
 
 def test_split_probe_insert_matches_unsplit_oracle():
@@ -98,22 +92,6 @@ def test_split_batch_hash_matches_scalar():
         assert table.group_of_bucket(int(b)) == table.group_of_key(int(k))
 
 
-def test_split_merge_round_trip_restores_layout():
-    table = DualHashTable(16, 4)
-    oracle = DualHashTable(16, 4)
-    fill(table, seed=9)
-    fill(oracle, seed=9)
-    moved_out = table.subsplit_group(1, 4)
-    moved_back = table.merge_group(1)
-    assert moved_out == moved_back
-    for source in (SOURCE_A, SOURCE_B):
-        for bucket in range(16):
-            assert table.bucket_contents(source, bucket) == oracle.bucket_contents(
-                source, bucket
-            )
-    assert table.total_tuples() == oracle.total_tuples()
-
-
 def test_extract_group_unchanged_by_split():
     table = DualHashTable(16, 4)
     oracle = DualHashTable(16, 4)
@@ -147,15 +125,13 @@ def test_equal_keys_share_a_sub_bucket_in_order():
     assert [x.tid for x in contents] == [0, 1, 2, 3, 4, 5]
 
 
-def test_payloads_survive_split_and_merge():
+def test_payloads_survive_split():
     table = DualHashTable(8, 2)
     table.insert(Tuple(key=3, tid=0, source=SOURCE_A, payload="p0"))
     table.insert(Tuple(key=3, tid=1, source=SOURCE_B, payload="p1"))
-    group = table.group_of_key(3)
-    table.subsplit_group(group, 2)
+    table.subsplit_group(table.group_of_key(3), 2)
     matches, _, _ = table.probe_insert(t(key=3, tid=2, source=SOURCE_A))
     assert [m.payload for m in matches] == ["p1"]
-    table.merge_group(group)
     assert [x.payload for x in table.bucket_contents(SOURCE_A, table.bucket_of(3))] == [
         "p0",
         None,  # the probe_insert above stored tid=2 without payload

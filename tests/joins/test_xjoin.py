@@ -133,7 +133,7 @@ def test_overlap_check_detects_separation():
     for t in rel_a:
         op.on_tuple(t)
     op.on_tuple(rel_b[0])
-    flushed = [t for t in rel_a if t.identity() in op._dts]
+    flushed = [t for t in rel_a if t.tid in op._dts[SOURCE_A]]
     assert flushed, "test requires at least one flushed A tuple"
     assert not op._overlapped_in_memory(flushed[0], rel_b[0])
 
@@ -232,28 +232,19 @@ def test_static_memory_stage3_resets_side_accounting():
     assert runtime.recorder.count == 20
 
 
-# -- duplicate-prevention modes ---------------------------------------------------
-
-
-def test_duplicate_mode_validation():
-    with pytest.raises(ConfigurationError):
-        XJoin(memory_capacity=10, duplicate_mode="exactly-once")
+# -- timestamp duplicate prevention ------------------------------------------------
 
 
 def test_timestamps_mode_matches_oracle(small_relations):
     rel_a, rel_b = small_relations
-    assert_matches_oracle(
-        XJoin(memory_capacity=5, n_buckets=4, duplicate_mode="timestamps"),
-        rel_a,
-        rel_b,
-    )
+    assert_matches_oracle(XJoin(memory_capacity=5, n_buckets=4), rel_a, rel_b)
 
 
 def test_timestamps_mode_records_usage_on_pass_completion():
     keys = list(range(40))
     rel_a = keys_relation(keys, SOURCE_A)
     rel_b = keys_relation(keys, SOURCE_B)
-    op = XJoin(memory_capacity=10, n_buckets=4, duplicate_mode="timestamps")
+    op = XJoin(memory_capacity=10, n_buckets=4)
     runtime = make_runtime()
     op.bind(runtime)
     for t in rel_a:
@@ -276,7 +267,7 @@ def test_suspended_stage2_pass_is_completed_before_stage3():
     keys = list(range(60))
     rel_a = keys_relation(keys, SOURCE_A)
     rel_b = keys_relation(keys, SOURCE_B)
-    op = XJoin(memory_capacity=12, n_buckets=2, duplicate_mode="timestamps")
+    op = XJoin(memory_capacity=12, n_buckets=2)
     runtime = make_runtime()
     op.bind(runtime)
     for t in rel_a:

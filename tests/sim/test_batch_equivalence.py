@@ -1,18 +1,18 @@
 """Delivery-path equivalence: per-tuple vs batched.
 
 Run-batch delivery (the kernel's ``deliver_run`` callback) is an
-amortisation, never a simulation change.  Operators with a columnar
-path receive each run as :class:`~repro.core.columnar.ColumnBatch`
-arrays (vectorized run extraction included); the rest, and subclasses
-that override ``on_tuple``, replay the boxed run through ``on_tuple``.
+amortisation, never a simulation change.  HMJ receives each run as
+:class:`~repro.core.columnar.ColumnBatch` arrays (vectorized run
+extraction included); every other operator, and HMJ subclasses that
+override ``on_tuple``, replay the boxed run through ``on_tuple``.
 For any workload both kernel paths must produce the identical
 ``(count, final clock, io)`` triple *and* the identical result-event
 sequence.  This suite pins that equivalence five ways:
 
 * every cell of the six pinned figure benchmarks (the exact scenarios
   ``test_determinism.py`` captures) through both paths, plus the rest
-  of the symmetric-hash family: DPHJ (columnar, through XJoin's
-  driver), and the static-memory XJoin variant and SHJ (boxed replay);
+  of the symmetric-hash family: DPHJ, the static-memory XJoin variant
+  and SHJ (boxed replay, like XJoin);
 * a randomized property test over arrival models (constant / Poisson /
   Pareto), tiny memory budgets that force flushing mid-run (segmented
   columnar batches with mid-batch flush points), and early stops that
@@ -23,7 +23,8 @@ sequence.  This suite pins that equivalence five ways:
 * side labelling: a row plays the side of its relation's label on
   both paths, whichever engine slot its source occupies;
 * and the replay guard: a subclass that overrides ``on_tuple`` sees
-  every arrival through its override on the batched path too.
+  every arrival through its override on the batched path too, and so
+  does an ``on_tuple`` patched onto an XJoin or DPHJ instance.
 """
 
 from __future__ import annotations
@@ -140,12 +141,9 @@ def _figure_cells():
             lambda: ProgressiveMergeJoin(memory_capacity=memory), _burst, _burst,
             {"blocking_threshold": BLOCKING_T},
         ),
-        # The rest of the symmetric-hash family.  DPHJ inherits XJoin's
-        # step and columnar driver with its own flush step; the
-        # static-memory variant's per-source halves do not fit the
-        # driver's free-slot segments, and SHJ has no columnar path, so
-        # their batches go through the base to_tuples -> on_tuple_batch
-        # replay.
+        # The rest of the symmetric-hash family.  Like XJoin, their
+        # batches go through the base to_tuples -> on_tuple_batch
+        # replay of the shared per-tuple step.
         "fig11-shj": (lambda: SymmetricHashJoin(), _fast, _fast, {}),
         "fig11-xjoin-static": (
             lambda: XJoinStaticMemory(memory_capacity=memory), _fast, _fast, {},
@@ -352,6 +350,36 @@ def test_overridden_on_tuple_sees_every_batched_arrival(op_kind):
         if label == "override-batched":
             assert operator.calls == 600
     assert signatures["override-batched"] == signatures["plain-per-tuple"]
+
+
+@pytest.mark.parametrize("make", [XJoin, DoublePipelinedHashJoin], ids=["xjoin", "dphj"])
+def test_xjoin_family_batches_replay_instance_on_tuple(make):
+    """XJoin and DPHJ batches go through ``on_tuple``, even an instance's.
+
+    Patching the step on the instance (not the class) shows that no
+    array-native stage 1 bypasses it: a batched run calls it once per
+    arrival and still gives the per-event signature.
+    """
+    spec = WorkloadSpec(n_a=300, n_b=300, key_range=60, seed=5)
+    signatures = {}
+    calls = []
+    for label, path in PATHS.items():
+        rel_a, rel_b = make_relation_pair(spec)
+        operator = make(memory_capacity=40)
+        if label == "batched":
+            step = operator.on_tuple
+
+            def counting(t, step=step):
+                calls.append(t)
+                step(t)
+
+            operator.on_tuple = counting
+        result = execute(
+            rel_a, rel_b, operator, ConstantRate(800.0), PoissonArrival(800.0), **path
+        )
+        signatures[label] = _signature(result)
+    assert len(calls) == 600
+    assert signatures["batched"] == signatures["per_tuple"]
 
 
 # -- source sides -------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Unit tests for tuples, relations, and join results."""
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StorageError
 from repro.storage.tuples import (
     SOURCE_A,
     SOURCE_B,
@@ -12,6 +13,7 @@ from repro.storage.tuples import (
     Tuple,
     make_result,
     result_multiset,
+    tuples_to_columns,
 )
 
 
@@ -83,6 +85,38 @@ def test_relation_from_keys_assigns_sequential_tids():
     assert [t.tid for t in rel] == [0, 1, 2]
     assert [t.key for t in rel] == [5, 5, 7]
     assert all(t.source == SOURCE_B for t in rel)
+
+
+@pytest.mark.parametrize("bad", [1.5, "3", None])
+def test_non_integer_keys_and_tids_are_rejected(bad):
+    # A silent int64 cast would store 1.5 as 1 and '3' as 3.
+    with pytest.raises(StorageError):
+        Relation.from_keys([1, bad])
+    with pytest.raises(StorageError):
+        Relation.from_keys(np.array([1, bad]))
+    with pytest.raises(StorageError):
+        tuples_to_columns([Tuple(key=1, tid=0), Tuple(key=bad, tid=1)])
+    with pytest.raises(StorageError):
+        tuples_to_columns([Tuple(key=1, tid=0), Tuple(key=1, tid=bad)])
+    with pytest.raises(StorageError):
+        Relation(Schema(name="r"), [Tuple(key=bad, tid=0)])
+
+
+def test_integer_keys_are_stored_as_int64():
+    keys = np.arange(4, dtype=np.int64)
+    assert Relation.from_keys(keys).columns().keys is keys  # no copy
+    narrow = Relation.from_keys(np.arange(4, dtype=np.int32)).columns().keys
+    assert narrow.dtype == np.int64 and narrow.tolist() == [0, 1, 2, 3]
+    cols = tuples_to_columns([Tuple(key=np.int64(7), tid=0), Tuple(key=8, tid=1)])
+    assert cols.keys.dtype == np.int64 and cols.keys.tolist() == [7, 8]
+    assert Relation.from_keys([]).columns().keys.dtype == np.int64
+
+
+def test_nested_keys_are_rejected():
+    with pytest.raises(StorageError):
+        Relation.from_keys([1, [2]])
+    with pytest.raises(StorageError):
+        Relation.from_keys(np.zeros((2, 2), dtype=np.int64))
 
 
 def test_relation_len_iter_getitem():
