@@ -151,21 +151,3 @@ def test_kernel_per_tuple_delivery_throughput(benchmark):
     spec = WorkloadSpec(n_a=4000, n_b=4000, key_range=8000, seed=9)
     rel_a, rel_b = make_relation_pair(spec)
     assert benchmark(lambda: _delivery_run(rel_a, rel_b, False)) > 0
-
-
-def test_summary_running_max_throughput(benchmark):
-    # Per-tuple victim bookkeeping: the O(1) running (max, argmax)
-    # queried after every add, as FlushLargestPolicy now does.
-    rng = np.random.default_rng(6)
-    groups = rng.integers(0, 50, size=8000)
-    sides = rng.integers(0, 2, size=8000)
-
-    def run():
-        table = BucketSummaryTable(50)
-        acc = 0
-        for g, s in zip(groups, sides):
-            table.add_one(bool(s), int(g))
-            acc += table.argmax_pair_total()
-        return acc
-
-    assert benchmark(run) >= 0

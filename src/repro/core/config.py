@@ -30,7 +30,8 @@ class HMJConfig:
         flush_fraction: Fraction ``p`` of the buckets combined into one
             flushed disk block (Section 3.3; 5% is the paper's sweet
             spot, Figure 9).
-        fan_in: Blocks merged per merging-phase pass (``f``).
+        fan_in: Blocks merged per merging-phase pass (``f``), an integer
+            of at least 2.
         policy: Flushing policy instance; prepared at bind time with
             the resolved memory capacity and group count.
         final_flush_all: Paper-faithful behaviour flushes the *whole*
@@ -75,14 +76,16 @@ class HMJConfig:
             raise ConfigurationError(
                 f"flush_fraction must be in (0, 1], got {self.flush_fraction!r}"
             )
-        if self.fan_in < 2:
-            raise ConfigurationError(f"fan_in must be >= 2, got {self.fan_in}")
+        if not isinstance(self.fan_in, int) or self.fan_in < 2:
+            raise ConfigurationError(
+                f"fan_in must be an integer >= 2, got {self.fan_in!r}"
+            )
         if self.hot_split_factor < 0 or self.hot_split_factor == 1:
             raise ConfigurationError(
                 f"hot_split_factor must be 0 (off) or >= 2, "
                 f"got {self.hot_split_factor}"
             )
-        if self.hot_split_threshold < 1.0:
+        if not self.hot_split_threshold >= 1.0:  # NaN fails too
             raise ConfigurationError(
                 f"hot_split_threshold must be >= 1, got {self.hot_split_threshold!r}"
             )

@@ -97,11 +97,7 @@ class FlushLargestPolicy(FlushingPolicy):
     name = "flush-largest"
 
     def select_victims(self, summary: BucketSummaryTable) -> list[int]:
-        self._require_nonempty(summary)
-        # The summary maintains the (max, argmax) pair incrementally
-        # with the same lowest-index tie-break as _argmax_total, so no
-        # candidate scan is needed: the global argmax is non-empty.
-        return [summary.argmax_pair_total()]
+        return [_argmax_total(self._require_nonempty(summary), summary)]
 
 
 class AdaptiveFlushingPolicy(FlushingPolicy):
@@ -116,9 +112,10 @@ class AdaptiveFlushingPolicy(FlushingPolicy):
     name = "adaptive"
 
     def __init__(self, a: float | None = None, b: float | None = None) -> None:
-        if a is not None and a < 0:
+        # ``not >=`` / ``not >`` also reject NaN, which compares false.
+        if a is not None and not a >= 0:
             raise ConfigurationError(f"a must be >= 0, got {a!r}")
-        if b is not None and b <= 0:
+        if b is not None and not b > 0:
             raise ConfigurationError(f"b must be > 0, got {b!r}")
         self._a_config = a
         self._b_config = b
@@ -238,7 +235,7 @@ class FlushColdestPolicy(FlushingPolicy):
     ) -> None:
         if not 0.0 <= decay <= 1.0:
             raise ConfigurationError(f"decay must be in [0, 1], got {decay!r}")
-        if hot_ratio < 1.0:
+        if not hot_ratio >= 1.0:  # NaN fails too
             raise ConfigurationError(
                 f"hot_ratio must be >= 1, got {hot_ratio!r}"
             )

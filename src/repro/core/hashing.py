@@ -724,9 +724,7 @@ class DualHashTable:
             None if pays is None else pays[rows],
         )
 
-        # Summary: per-group delta arrays in two bincounts.  The
-        # running (max, argmax) goes stale; the lazy rescan picks the
-        # lowest-index argmax, same as the running update would.
+        # Summary: per-group delta arrays in two bincounts.
         garr = self._group_arr
         ng = self._n_groups
         deltas_a = np.bincount(garr[sb_a], minlength=ng)

@@ -89,8 +89,10 @@ class MergeScheduler:
         emit_phase: str = "merging",
         emit_guard: Callable[[], None] | None = None,
     ) -> None:
-        if fan_in < 2:
-            raise ConfigurationError(f"fan_in must be >= 2, got {fan_in}")
+        if not isinstance(fan_in, int) or fan_in < 2:
+            raise ConfigurationError(
+                f"fan_in must be an integer >= 2, got {fan_in!r}"
+            )
         if n_groups < 1:
             raise ConfigurationError(f"n_groups must be >= 1, got {n_groups}")
         if recorder is None:
@@ -369,9 +371,14 @@ class _ColumnarMergePass:
 
     Both sides' runs are merged up front into contiguous origin-tagged
     columns (:func:`~repro.storage.runs.vectorized_run_merge`); the
-    pass then walks per-key segments found by bisection, crossing
-    equal-key spans with the origin≠origin duplicate-avoidance mask
-    and appending results through the recorder's batch column path.
+    pass then walks per-key segments found by bisection, in the scalar
+    reference's order: a span of either side's keys below the other
+    side's head (one loop, whichever side it is), an equal-key group
+    (the A gather, the B gather, then the cross product with the
+    origin≠origin duplicate-avoidance mask, appending results through
+    the recorder's batch column path), and finally one drain loop over
+    whatever is left of both sides.  Both merged outputs are charged
+    and registered by one step at pass end.
 
     **Determinism.**  The per-tuple reference pass
     (:class:`~repro.testing.scalar_merge.ScalarMergeScheduler`) charges
@@ -382,12 +389,14 @@ class _ColumnarMergePass:
     :func:`~repro.core.columnar._clock_walk` established), with page
     I/Os counted locally and folded back in bulk.  The budget boundary
     is re-checked between every two units against the hoisted deadline
-    and stop predicate, so the pass suspends at exactly the unit the
-    reference generator would — triples stay byte-identical under
-    arbitrary suspension.  While a stop predicate is armed, emissions
-    flush immediately (the predicate may read the recorder's live
-    count); otherwise they buffer until the next suspension point or
-    pass end.
+    and stop predicate, and every check that fires suspends through one
+    local ``pause`` helper, which publishes the mirrored state, yields,
+    and hands the re-read state back — so the pass suspends at exactly
+    the unit the reference generator would, and triples stay
+    byte-identical under arbitrary suspension.  While a stop predicate
+    is armed, emissions flush immediately (the predicate may read the
+    recorder's live count); otherwise they buffer until the next
+    suspension point or pass end.
     """
 
     __slots__ = ("_gen", "_deadline", "_stop")
@@ -422,21 +431,16 @@ class _ColumnarMergePass:
         cmp_c = costs.cpu_compare_cost
         res_c = costs.result_time(1)
 
-        side_a = vectorized_run_merge(
-            [
-                SortedRun(block=blk, origin=i)
-                for i, (blk, _) in selected.items()
-                if blk is not None
-            ],
-            disk,
-        )
-        side_b = vectorized_run_merge(
-            [
-                SortedRun(block=blk, origin=i)
-                for i, (_, blk) in selected.items()
-                if blk is not None
-            ],
-            disk,
+        side_a, side_b = (
+            vectorized_run_merge(
+                [
+                    SortedRun(block=pair[s], origin=i)
+                    for i, pair in selected.items()
+                    if pair[s] is not None
+                ],
+                disk,
+            )
+            for s in (0, 1)
         )
         n_a = len(side_a)
         n_b = len(side_b)
@@ -495,23 +499,37 @@ class _ColumnarMergePass:
             t_buf.clear()
             io_buf.clear()
 
+        def pause(now: float, reads: int, writes: int):
+            """Publish the mirrored state, suspend, and return it re-read.
+
+            The caller resets its page counters, which were just folded
+            back into the disk's totals.
+            """
+            flush()
+            clock.resync(now)
+            disk.absorb_io_pages(reads, writes)
+            yield
+            return (
+                clock.now,
+                disk.io_count,
+                self._deadline,
+                self._stop,
+                recorder.needs_results,
+            )
+
         # Mirrored shared state: local clock and page counters,
         # written back at every suspension point and at pass end.
         now = clock.now
         io = disk.io_count
-        reads = 0
         writes = 0
         deadline = self._deadline
         stop = self._stop
         # Initial page-0 fills — the heap path charges one page read
         # per run when each stream's first element is pulled, before
         # the first unit of work.
-        for _ in range(side_a.n_init_reads):
+        reads = side_a.n_init_reads + side_b.n_init_reads
+        for _ in range(reads):
             now += io1
-            reads += 1
-        for _ in range(side_b.n_init_reads):
-            now += io1
-            reads += 1
         # The first unit is fused with the initial fills (the scalar
         # pass performs both inside one `next` call), so its boundary
         # check is skipped.
@@ -522,54 +540,14 @@ class _ColumnarMergePass:
         while ia < n_a and ib < n_b:
             key_a = keys_a[ia]
             key_b = keys_b[ib]
+            # A span of one side's keys below the other side's head:
+            # pick the side, then walk it in the one loop below.
             if key_a < key_b:
-                end = bisect_left(keys_a, key_b, ia, n_a)
-                for m in range(ia, end):
-                    if first:
-                        first = False
-                    elif now >= deadline or (stop is not None and stop()):
-                        flush()
-                        clock.resync(now)
-                        disk.absorb_io_pages(reads, writes)
-                        reads = writes = 0
-                        yield
-                        now = clock.now
-                        io = disk.io_count
-                        deadline = self._deadline
-                        stop = self._stop
-                        need_rows = recorder.needs_results
-                    now += cmp_c
-                    if not final and (m + 1) % page == 0:
-                        now += io1
-                        writes += 1
-                    if rflag_a[m]:
-                        now += io1
-                        reads += 1
-                ia = end
+                lo, flags = ia, rflag_a
+                ia = hi = bisect_left(keys_a, key_b, ia, n_a)
             elif key_b < key_a:
-                end = bisect_left(keys_b, key_a, ib, n_b)
-                for m in range(ib, end):
-                    if first:
-                        first = False
-                    elif now >= deadline or (stop is not None and stop()):
-                        flush()
-                        clock.resync(now)
-                        disk.absorb_io_pages(reads, writes)
-                        reads = writes = 0
-                        yield
-                        now = clock.now
-                        io = disk.io_count
-                        deadline = self._deadline
-                        stop = self._stop
-                        need_rows = recorder.needs_results
-                    now += cmp_c
-                    if not final and (m + 1) % page == 0:
-                        now += io1
-                        writes += 1
-                    if rflag_b[m]:
-                        now += io1
-                        reads += 1
-                ib = end
+                lo, flags = ib, rflag_b
+                ib = hi = bisect_left(keys_b, key_a, ib, n_b)
             else:
                 # Equal keys: consume both spans (the gathers), then
                 # cross them with the origin≠origin mask.  The loop-top
@@ -580,16 +558,10 @@ class _ColumnarMergePass:
                     if first:
                         first = False
                     elif now >= deadline or (stop is not None and stop()):
-                        flush()
-                        clock.resync(now)
-                        disk.absorb_io_pages(reads, writes)
+                        now, io, deadline, stop, need_rows = yield from pause(
+                            now, reads, writes
+                        )
                         reads = writes = 0
-                        yield
-                        now = clock.now
-                        io = disk.io_count
-                        deadline = self._deadline
-                        stop = self._stop
-                        need_rows = recorder.needs_results
                     if m == ia:
                         now += cmp_c
                     if not final and (m + 1) % page == 0:
@@ -600,16 +572,10 @@ class _ColumnarMergePass:
                         reads += 1
                 for m in range(ib, b_end):
                     if now >= deadline or (stop is not None and stop()):
-                        flush()
-                        clock.resync(now)
-                        disk.absorb_io_pages(reads, writes)
+                        now, io, deadline, stop, need_rows = yield from pause(
+                            now, reads, writes
+                        )
                         reads = writes = 0
-                        yield
-                        now = clock.now
-                        io = disk.io_count
-                        deadline = self._deadline
-                        stop = self._stop
-                        need_rows = recorder.needs_results
                     if not final and (m + 1) % page == 0:
                         now += io1
                         writes += 1
@@ -621,16 +587,10 @@ class _ColumnarMergePass:
                     oi = orig_a[i]
                     for j in b_range:
                         if now >= deadline or (stop is not None and stop()):
-                            flush()
-                            clock.resync(now)
-                            disk.absorb_io_pages(reads, writes)
+                            now, io, deadline, stop, need_rows = yield from pause(
+                                now, reads, writes
+                            )
                             reads = writes = 0
-                            yield
-                            now = clock.now
-                            io = disk.io_count
-                            deadline = self._deadline
-                            stop = self._stop
-                            need_rows = recorder.needs_results
                         now += cmp_c
                         if oi != orig_b[j]:
                             now += res_c
@@ -646,99 +606,64 @@ class _ColumnarMergePass:
                                 flush()
                 ia = a_end
                 ib = b_end
+                continue
+            for m in range(lo, hi):
+                if first:
+                    first = False
+                elif now >= deadline or (stop is not None and stop()):
+                    now, io, deadline, stop, need_rows = yield from pause(
+                        now, reads, writes
+                    )
+                    reads = writes = 0
+                now += cmp_c
+                if not final and (m + 1) % page == 0:
+                    now += io1
+                    writes += 1
+                if flags[m]:
+                    now += io1
+                    reads += 1
         # Drain whichever side remains (no more matches possible).
-        while ia < n_a:
-            if first:
-                first = False
-            elif now >= deadline or (stop is not None and stop()):
-                flush()
-                clock.resync(now)
-                disk.absorb_io_pages(reads, writes)
-                reads = writes = 0
-                yield
-                now = clock.now
-                io = disk.io_count
-                deadline = self._deadline
-                stop = self._stop
-                need_rows = recorder.needs_results
-            if not final and (ia + 1) % page == 0:
-                now += io1
-                writes += 1
-            if rflag_a[ia]:
-                now += io1
-                reads += 1
-            ia += 1
-        while ib < n_b:
-            if first:
-                first = False
-            elif now >= deadline or (stop is not None and stop()):
-                flush()
-                clock.resync(now)
-                disk.absorb_io_pages(reads, writes)
-                reads = writes = 0
-                yield
-                now = clock.now
-                io = disk.io_count
-                deadline = self._deadline
-                stop = self._stop
-                need_rows = recorder.needs_results
-            if not final and (ib + 1) % page == 0:
-                now += io1
-                writes += 1
-            if rflag_b[ib]:
-                now += io1
-                reads += 1
-            ib += 1
+        for flags, lo, hi in ((rflag_a, ia, n_a), (rflag_b, ib, n_b)):
+            for m in range(lo, hi):
+                if first:
+                    first = False
+                elif now >= deadline or (stop is not None and stop()):
+                    now, io, deadline, stop, need_rows = yield from pause(
+                        now, reads, writes
+                    )
+                    reads = writes = 0
+                if not final and (m + 1) % page == 0:
+                    now += io1
+                    writes += 1
+                if flags[m]:
+                    now += io1
+                    reads += 1
         # Finalisation is one more unit (the scalar generator's
         # trailing code runs inside a final `next` the driver guards
         # with its own budget check).
         if now >= deadline or (stop is not None and stop()):
-            flush()
-            clock.resync(now)
-            disk.absorb_io_pages(reads, writes)
+            now, io, deadline, stop, need_rows = yield from pause(
+                now, reads, writes
+            )
             reads = writes = 0
-            yield
-            now = clock.now
-            deadline = self._deadline
-            stop = self._stop
         flush()
         clock.resync(now)
         disk.absorb_io_pages(reads, writes)
         sched._drop_inputs(gs, selected)
-        merged_a = merged_b = None
-        if not final:
-            # The streaming writers' close(): charge each side's final
-            # partial page (A then B, as the scalar pass closes them),
-            # then register the merged columns — which are exactly the
-            # per-side merge results already in hand.
-            if n_a:
-                rem = n_a % page
-                if rem:
-                    disk.charge_write_pages(rem)
-                merged_a = disk.adopt_block_columns(
-                    gs.partition_a,
-                    RelationColumns(
-                        keys=side_a.keys,
-                        tids=side_a.tids,
-                        payloads=side_a.payloads,
-                        source=side_a.source,
-                    ),
-                    out_id,
-                    sorted_by_key=True,
-                )
-            if n_b:
-                rem = n_b % page
-                if rem:
-                    disk.charge_write_pages(rem)
-                merged_b = disk.adopt_block_columns(
-                    gs.partition_b,
-                    RelationColumns(
-                        keys=side_b.keys,
-                        tids=side_b.tids,
-                        payloads=side_b.payloads,
-                        source=side_b.source,
-                    ),
-                    out_id,
-                    sorted_by_key=True,
-                )
-        sched._register_output(gs, out_id, merged_a, merged_b)
+        # The streaming writers' close(): charge each side's final
+        # partial page (A then B, as the scalar pass closes them), then
+        # register the merged columns — which are exactly the per-side
+        # merge results already in hand.  A final pass writes nothing.
+        merged: list[DiskBlock | None] = []
+        for side, partition in ((side_a, gs.partition_a), (side_b, gs.partition_b)):
+            n = len(side)
+            if final or not n:
+                merged.append(None)
+                continue
+            if n % page:
+                disk.charge_write_pages(n % page)
+            columns = RelationColumns(side.keys, side.tids, side.payloads, side.source)
+            merged.append(
+                disk.adopt_block_columns(partition, columns, out_id, sorted_by_key=True)
+            )
+        sched._register_output(gs, out_id, *merged)

@@ -10,11 +10,8 @@ The table works at the granularity the flushing policy sees: the
 hash range from source A and source B.
 
 Every per-tuple query is O(1): the source totals (and with them
-``imbalance()``) are maintained incrementally, and so is the largest
-pair total — ``add`` bumps a running ``(max, argmax)`` pair, while
-``remove`` (which only happens on the rare flush path) marks it stale
-for a lazy O(g) rescan on the next query.  The exhaustive scan survives
-as a debug oracle in the test suite.
+``imbalance()``) are maintained incrementally.  Victim choice scans the
+non-empty groups, but only at a flush decision, never per tuple.
 
 **Heat tracking** (opt-in, for the skew-adaptive flushing layer): when
 :meth:`~BucketSummaryTable.enable_heat` has been called, every arrival
@@ -46,9 +43,6 @@ class BucketSummaryTable:
         "_counts_b",
         "_total_a",
         "_total_b",
-        "_max_total",
-        "_max_group",
-        "_max_stale",
         "_heat",
     )
 
@@ -60,9 +54,6 @@ class BucketSummaryTable:
         self._counts_b = [0] * n_groups
         self._total_a = 0
         self._total_b = 0
-        self._max_total = 0
-        self._max_group = 0
-        self._max_stale = False
         self._heat: list[float] | None = None
 
     @property
@@ -102,7 +93,6 @@ class BucketSummaryTable:
             self._total_b += n
         if self._heat is not None:
             self._heat[group] += n
-        self._note_growth(group)
 
     def add_one(self, is_a: bool, group: int) -> None:
         """Unchecked fast path: one tuple enters ``group``.
@@ -119,38 +109,31 @@ class BucketSummaryTable:
             self._total_b += 1
         if self._heat is not None:
             self._heat[group] += 1.0
-        self._note_growth(group)
 
     def add_delta_arrays(self, deltas_a, deltas_b) -> None:
         """Bulk :meth:`add_one`: per-group delta arrays from one batch.
 
         ``deltas_a``/``deltas_b`` are length-``n_groups`` count arrays
-        (``np.bincount`` output).  Totals update in O(nonzero groups);
-        the running ``(max, argmax)`` is marked stale for the lazy
-        rescan, which picks the lowest-index argmax among tied maxima —
-        exactly what per-tuple ``_note_growth`` maintains, so every
-        policy query sees identical values on either path.
+        (``np.bincount`` output).  Counts, totals and heat update in
+        O(nonzero groups) and end exactly where the per-tuple calls
+        would, so every policy query sees identical values on either
+        path.
         """
         counts_a = self._counts_a
         counts_b = self._counts_b
         heat = self._heat
-        grew = False
         for g in np.flatnonzero(deltas_a).tolist():
             d = int(deltas_a[g])
             counts_a[g] += d
             self._total_a += d
             if heat is not None:
                 heat[g] += d
-            grew = True
         for g in np.flatnonzero(deltas_b).tolist():
             d = int(deltas_b[g])
             counts_b[g] += d
             self._total_b += d
             if heat is not None:
                 heat[g] += d
-            grew = True
-        if grew:
-            self._max_stale = True
 
     def remove(self, source: str, group: int, n: int) -> None:
         """Record ``n`` tuples leaving ``group`` (flushed to disk)."""
@@ -168,22 +151,6 @@ class BucketSummaryTable:
             self._total_a -= n
         else:
             self._total_b -= n
-        if n and group == self._max_group:
-            # The running maximum may have shrunk; rescan lazily on the
-            # next query (removal only happens on the flush path).
-            self._max_stale = True
-
-    def max_pair_total(self) -> int:
-        """Largest ``|A_k| + |B_k|`` over all groups, O(1) amortised."""
-        if self._max_stale:
-            self._rescan_max()
-        return self._max_total
-
-    def argmax_pair_total(self) -> int:
-        """Group with the largest pair total (ties: lowest index)."""
-        if self._max_stale:
-            self._rescan_max()
-        return self._max_group
 
     # -- decayed per-group arrival heat ---------------------------------
 
@@ -232,27 +199,6 @@ class BucketSummaryTable:
             return
         for g in range(self._n_groups):
             heat[g] *= factor
-
-    def _note_growth(self, group: int) -> None:
-        if self._max_stale:
-            return
-        total = self._counts_a[group] + self._counts_b[group]
-        if total > self._max_total or (
-            total == self._max_total and group < self._max_group
-        ):
-            self._max_total = total
-            self._max_group = group
-
-    def _rescan_max(self) -> None:
-        best_total, best_group = -1, 0
-        counts_a, counts_b = self._counts_a, self._counts_b
-        for g in range(self._n_groups):
-            total = counts_a[g] + counts_b[g]
-            if total > best_total:
-                best_total, best_group = total, g
-        self._max_total = best_total
-        self._max_group = best_group
-        self._max_stale = False
 
     def size(self, source: str, group: int) -> int:
         """Tuples of ``source`` currently in ``group``."""

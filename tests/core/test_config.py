@@ -24,8 +24,9 @@ def test_validation():
         HMJConfig(memory_capacity=10, flush_fraction=0.0)
     with pytest.raises(ConfigurationError):
         HMJConfig(memory_capacity=10, flush_fraction=1.5)
-    with pytest.raises(ConfigurationError):
-        HMJConfig(memory_capacity=10, fan_in=1)
+    for fan_in in (1, 2.5, float("nan")):
+        with pytest.raises(ConfigurationError):
+            HMJConfig(memory_capacity=10, fan_in=fan_in)
 
 
 def test_group_size_from_fraction():
@@ -87,8 +88,9 @@ def test_hot_split_validation():
         HMJConfig(memory_capacity=100, hot_split_factor=-1)
     with pytest.raises(ConfigurationError):
         HMJConfig(memory_capacity=100, hot_split_factor=1)
-    with pytest.raises(ConfigurationError):
-        HMJConfig(memory_capacity=100, hot_split_threshold=0.5)
+    for threshold in (0.5, float("nan")):
+        with pytest.raises(ConfigurationError):
+            HMJConfig(memory_capacity=100, hot_split_threshold=threshold)
     with pytest.raises(ConfigurationError):
         HMJConfig(memory_capacity=100, hot_split_min_tuples=-1)
     HMJConfig(memory_capacity=100, hot_split_factor=2)  # valid

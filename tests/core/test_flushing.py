@@ -74,6 +74,32 @@ def test_figure7_flush_all_returns_every_pair():
 # -- the Section 6.1.2 equivalence -------------------------------------------
 
 
+def test_flush_largest_breaks_ties_to_lowest_group():
+    table = BucketSummaryTable(4)
+    table.add(SOURCE_A, 3, 4)
+    table.add(SOURCE_B, 1, 4)
+    assert FlushLargestPolicy().select_victims(table) == [1]
+    table.add(SOURCE_A, 0, 4)
+    assert FlushLargestPolicy().select_victims(table) == [0]
+
+
+def test_flush_largest_matches_scan_oracle_randomized():
+    import random
+
+    rng = random.Random(1234)
+    table = BucketSummaryTable(8)
+    for _ in range(2000):
+        group = rng.randrange(8)
+        source = SOURCE_A if rng.random() < 0.5 else SOURCE_B
+        if rng.random() < 0.25 and table.size(source, group):
+            table.remove(source, group, rng.randint(1, table.size(source, group)))
+        else:
+            table.add(source, group, rng.randint(1, 4))
+        totals = [table.pair_total(g) for g in range(table.n_groups)]
+        expected = totals.index(max(totals))
+        assert FlushLargestPolicy().select_victims(table) == [expected]
+
+
 def test_flush_largest_is_adaptive_with_a0_bM():
     """Flush Largest == Adaptive(a=0, b=M) on arbitrary layouts."""
     layouts = [
@@ -124,10 +150,12 @@ def test_unprepared_auto_thresholds_inaccessible():
 
 
 def test_constructor_validation():
-    with pytest.raises(ConfigurationError):
-        AdaptiveFlushingPolicy(a=-1)
-    with pytest.raises(ConfigurationError):
-        AdaptiveFlushingPolicy(b=0)
+    for a in (-1, float("nan")):
+        with pytest.raises(ConfigurationError):
+            AdaptiveFlushingPolicy(a=a)
+    for b in (0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            AdaptiveFlushingPolicy(b=b)
 
 
 def test_prepare_validation():
@@ -264,8 +292,9 @@ def test_flush_coldest_validation():
 
     with pytest.raises(ConfigurationError):
         FlushColdestPolicy(decay=1.5)
-    with pytest.raises(ConfigurationError):
-        FlushColdestPolicy(hot_ratio=0.5)
+    for hot_ratio in (0.5, float("nan")):
+        with pytest.raises(ConfigurationError):
+            FlushColdestPolicy(hot_ratio=hot_ratio)
     with pytest.raises(ConfigurationError):
         FlushColdestPolicy(cold_fraction=0.0)
     with pytest.raises(ConfigurationError):

@@ -6,7 +6,9 @@ indistinguishable from the scalar per-tuple reference in
 per-result (time, io, phase) triples, identical final clock and I/O
 totals — and all of that must hold when the pass is suspended at every
 single budget boundary, because the engine can interrupt a merge
-between any two units of work.
+between any two units of work, and when every budget carries a
+first-k stop predicate, under which each result is published the
+moment it is produced.
 """
 
 import random
@@ -83,13 +85,20 @@ def build(merge_path):
     return scheduler, clock, disk, recorder
 
 
-def drain(scheduler, clock, disk, recorder, step=None):
-    """Run all merge work; with ``step``, suspend at every boundary."""
+def drain(scheduler, clock, disk, recorder, step=None, stop_at=None):
+    """Run all merge work; with ``step``, suspend at every boundary.
+
+    With ``stop_at`` every budget carries ``stop_when`` for the first
+    ``stop_at`` results, and the run ends once that predicate holds.
+    """
+    stop = None if stop_at is None else (lambda: recorder.count >= stop_at)
     if step is None:
-        scheduler.work(WorkBudget.unbounded(clock))
+        scheduler.work(WorkBudget.unbounded(clock, stop_when=stop))
     else:
-        while scheduler.has_result_work():
-            budget = WorkBudget(clock=clock, deadline=clock.now + step)
+        while scheduler.has_result_work() and not (stop is not None and stop()):
+            budget = WorkBudget(
+                clock=clock, deadline=clock.now + step, stop_when=stop
+            )
             scheduler.work(budget)
     return (
         [e.time for e in recorder.events],
@@ -133,6 +142,35 @@ def test_coarse_suspension_is_invisible(merge_path, scalar_uninterrupted):
     costs = CostModel(page_size=PAGE)
     step = costs.io_time(1) * 2.5
     assert drain(*build(merge_path), step=step) == scalar_uninterrupted
+
+
+#: First-k stop counts: the first result, mid-pass, and several passes in.
+STOP_COUNTS = [1, 7, 40]
+
+
+@pytest.fixture(scope="module")
+def scalar_stopped():
+    return {k: drain(*build("scalar"), stop_at=k) for k in STOP_COUNTS}
+
+
+@pytest.mark.parametrize("merge_path", ["scalar", "columnar"])
+@pytest.mark.parametrize("k", STOP_COUNTS)
+def test_suspension_at_every_boundary_under_stop_is_invisible(
+    merge_path, k, scalar_stopped
+):
+    step = CostModel(page_size=PAGE).cpu_compare_cost / 10.0
+    stopped = scalar_stopped[k]
+    assert len(stopped[0]) == k
+    assert drain(*build(merge_path), step=step, stop_at=k) == stopped
+
+
+@pytest.mark.parametrize("merge_path", ["scalar", "columnar"])
+@pytest.mark.parametrize("k", STOP_COUNTS)
+def test_coarse_suspension_under_stop_is_invisible(
+    merge_path, k, scalar_stopped
+):
+    step = CostModel(page_size=PAGE).io_time(1) * 2.5
+    assert drain(*build(merge_path), step=step, stop_at=k) == scalar_stopped[k]
 
 
 def test_columnar_requires_recorder():

@@ -51,8 +51,9 @@ def collect(scheduler, clock, budget=None):
 def test_constructor_validation():
     clock = VirtualClock()
     disk = SimulatedDisk(clock, CostModel())
-    with pytest.raises(ConfigurationError):
-        MergeScheduler(disk, clock, disk.costs, "x", fan_in=1, n_groups=1)
+    for fan_in in (1, 2.5, float("nan")):
+        with pytest.raises(ConfigurationError):
+            MergeScheduler(disk, clock, disk.costs, "x", fan_in=fan_in, n_groups=1)
     with pytest.raises(ConfigurationError):
         MergeScheduler(disk, clock, disk.costs, "x", fan_in=2, n_groups=0)
 

@@ -98,68 +98,6 @@ def test_repr_shows_totals():
     assert "|A|=3" in repr(table)
 
 
-# -- running (max, argmax) pair-total tracking ------------------------------
-
-
-def _oracle_max(table):
-    """The O(n_groups) scan the running max replaced (debug oracle)."""
-    totals = [table.pair_total(g) for g in range(table.n_groups)]
-    best = max(totals)
-    return best, totals.index(best)
-
-
-def test_max_pair_total_empty_table():
-    table = BucketSummaryTable(4)
-    assert table.max_pair_total() == 0
-    assert table.argmax_pair_total() == 0
-
-
-def test_max_pair_total_tracks_adds():
-    table = BucketSummaryTable(4)
-    table.add(SOURCE_A, 2, 5)
-    assert table.max_pair_total() == 5
-    assert table.argmax_pair_total() == 2
-    table.add(SOURCE_B, 1, 7)
-    assert table.max_pair_total() == 7
-    assert table.argmax_pair_total() == 1
-
-
-def test_argmax_breaks_ties_to_lowest_group():
-    table = BucketSummaryTable(4)
-    table.add(SOURCE_A, 3, 4)
-    table.add(SOURCE_B, 1, 4)
-    assert table.max_pair_total() == 4
-    assert table.argmax_pair_total() == 1
-    table.add(SOURCE_A, 0, 4)
-    assert table.argmax_pair_total() == 0
-
-
-def test_max_pair_total_recovers_after_remove():
-    table = BucketSummaryTable(3)
-    table.add(SOURCE_A, 0, 10)
-    table.add(SOURCE_B, 1, 6)
-    table.remove(SOURCE_A, 0, 10)
-    assert table.max_pair_total() == 6
-    assert table.argmax_pair_total() == 1
-
-
-def test_running_max_matches_scan_oracle_randomized():
-    import random
-
-    rng = random.Random(1234)
-    table = BucketSummaryTable(8)
-    for _ in range(2000):
-        group = rng.randrange(8)
-        source = SOURCE_A if rng.random() < 0.5 else SOURCE_B
-        if rng.random() < 0.25 and table.size(source, group):
-            table.remove(source, group, rng.randint(1, table.size(source, group)))
-        else:
-            table.add(source, group, rng.randint(1, 4))
-        best, arg = _oracle_max(table)
-        assert table.max_pair_total() == best
-        assert table.argmax_pair_total() == arg
-
-
 def test_add_one_is_add_fast_path():
     checked = BucketSummaryTable(4)
     fast = BucketSummaryTable(4)
@@ -174,8 +112,6 @@ def test_add_one_is_add_fast_path():
     assert fast.rows() == checked.rows()
     assert fast.total_a == checked.total_a
     assert fast.total_b == checked.total_b
-    assert fast.max_pair_total() == checked.max_pair_total()
-    assert fast.argmax_pair_total() == checked.argmax_pair_total()
 
 
 # -- per-group arrival heat ---------------------------------------------------

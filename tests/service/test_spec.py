@@ -50,6 +50,15 @@ def test_memory_budget_default_is_paper_fraction():
     assert QuerySpec(n=400, memory=123).memory_budget() == 123
 
 
+@pytest.mark.parametrize("algorithm", ["hmj", "pmj"])
+@pytest.mark.parametrize("fan_in", [2.5, float("nan")])
+def test_build_rejects_non_integer_fan_in(algorithm, fan_in):
+    # Valid JSON for `repro serve`; it must fail at build with a typed
+    # error, not mid-run on a slice bound.
+    with pytest.raises(ConfigurationError, match="fan_in"):
+        QuerySpec(algorithm=algorithm, n=80, fan_in=fan_in).build()
+
+
 def test_make_arrival_and_operator_reject_unknown_names():
     with pytest.raises(ConfigurationError):
         make_arrival("teleport", 100.0, 400)
