@@ -11,15 +11,19 @@ probe_insert_batch`; every other operator boxes the batch and replays
 it through ``on_tuple``.  No ``Tuple`` is boxed on the hot path; results
 reach the recorder as lazy :class:`ResultColumns` segments.
 
-**Determinism.**  The virtual-clock recurrence is the one part that
-must NOT be vectorized: float addition is non-associative, so any
-reassociation (per-row cumsums, per-segment partial sums) would drift
-from the per-tuple path in the last bits and break the byte-identical
-``(count, clock, io)`` triples the equivalence suite pins.  The driver
-therefore walks the clock in :func:`_clock_walk` — a sequential scalar
-loop executing the exact per-tuple charge sequence — while everything
-around it (hashing, bucket grouping, match finding, inserts, summary
-deltas) runs on arrays.
+**Determinism.**  Float addition is non-associative, so any
+reassociation of the virtual-clock recurrence (per-row cumsums,
+per-segment partial sums) would drift from the per-tuple path in the
+last bits and break the byte-identical ``(count, clock, io)`` triples
+the equivalence suite pins.  The driver therefore walks the clock in
+:func:`_clock_walk` with exactly the per-tuple charge sequence: each
+float addition the per-tuple path makes, in its order.  A short
+segment runs it as a sequential scalar loop; a long one runs it on
+arrays, across all its busy periods at once (:func:`_busy_period_walk`),
+because the only step that is not an addition is
+``now = max(now, arrival)``.
+Everything around the walk (hashing, bucket grouping, match finding,
+inserts, summary deltas) runs on arrays too.
 
 **Flush points.**  Memory can fill mid-batch.  The driver processes
 the batch in segments of ``capacity - used`` rows, so a probe/insert
@@ -127,7 +131,18 @@ class ResultColumns:
         return out
 
 
-def _clock_walk(
+#: Segments shorter than this walk the clock in the scalar loop: below
+#: it the busy-period walk's fixed numpy calls cost more than the loop
+#: saves (measured crossover about 150 rows on idle arrivals).
+_VECTOR_WALK_MIN_ROWS = 512
+
+#: Fix-up rounds the busy-period walk runs before it hands the rest of
+#: a segment to the scalar loop.  Each round settles one more row of
+#: every busy period, so a long backlog would make the rounds quadratic.
+_WALK_ROUNDS = 4
+
+
+def _scalar_walk(
     now: float,
     ats: list[float],
     cands: list[int],
@@ -143,10 +158,6 @@ def _clock_walk(
     cost, charge the probe comparisons, then charge and timestamp each
     emitted result.  ``skip_first`` marks a segment whose first row's
     arrival + tuple cost were already charged at the flush boundary.
-
-    This loop is intentionally NOT vectorized: the identical
-    left-to-right float addition order is what keeps the batch paths'
-    determinism triples byte-identical to the per-tuple path.
     """
     res_times: list[float] = []
     res_append = res_times.append
@@ -163,6 +174,153 @@ def _clock_walk(
             now += result_cost
             res_append(now)
     return res_times, now
+
+
+def _charge_rows(
+    x: np.ndarray,
+    charge: np.ndarray,
+    mcounts: np.ndarray,
+    offs: np.ndarray,
+    res: np.ndarray,
+    result_cost: float,
+) -> np.ndarray:
+    """Finish rows whose tuple cost ``x`` holds: add the probe charge,
+    then each result charge one ``+ result_cost`` per level, writing
+    result ``k`` of a row to ``res[offs + k]``.  Returns the row ends
+    (``x``, updated in place)."""
+    x += charge
+    rows = np.flatnonzero(mcounts)
+    if len(rows):
+        xr = x[rows]
+        pos = offs[rows]
+        left = mcounts[rows]
+        while True:
+            xr += result_cost
+            res[pos] = xr
+            left -= 1
+            done = left == 0
+            if done.any():
+                x[rows[done]] = xr[done]
+                keep = ~done
+                if not keep.any():
+                    break
+                rows, xr, pos, left = rows[keep], xr[keep], pos[keep], left[keep]
+            pos += 1
+    return x
+
+
+def _busy_period_walk(
+    now: float,
+    ats: np.ndarray,
+    cands: np.ndarray,
+    mcounts: np.ndarray,
+    tuple_cost: float,
+    compare_cost: float,
+    result_cost: float,
+    skip_first: bool,
+) -> tuple[np.ndarray, float, int]:
+    """The scalar recurrence of :func:`_scalar_walk`, on arrays.
+
+    Every charge is the scalar loop's own float addition in the same
+    order; the one step that is not additive is ``now = max(now, at)``.
+    So every row is first taken as fresh (started at its arrival),
+    which gives lower bounds of the row ends.  Then each round
+    recomputes, from its predecessor's end, every row that arrived
+    before that end, across all busy periods at once; ends only grow,
+    and the walk stops at the unique fixed point, the scalar sequence.
+    A round settles one more row of every busy period, so after
+    ``_WALK_ROUNDS`` rounds (or once a first-pass busy run is longer
+    than that) the walk stops early.
+
+    Returns ``(result_times, end, settled)``: rows ``[0, settled)`` are
+    exact, ``result_times`` holds their results and ``end`` is the clock
+    after row ``settled - 1``.
+    """
+    n = len(ats)
+    charge = cands * compare_cost  # 0.0 where c == 0: adds nothing
+    offs = np.cumsum(mcounts)
+    res = np.empty(int(offs[-1]))
+    offs -= mcounts
+    start = ats.copy()
+    if now > start[0]:
+        start[0] = now
+    x = start + tuple_cost
+    if skip_first:
+        x[0] = now
+    ends = _charge_rows(x, charge, mcounts, offs, res, result_cost)
+    # Rows that arrived before their predecessor's (lower-bound) end.
+    busy = np.flatnonzero(ends[:-1] > start[1:]) + 1
+    settled = n
+    if len(busy) > _WALK_ROUNDS:
+        # A run of more than _WALK_ROUNDS busy rows cannot settle in
+        # time: the walk stops where it starts.
+        long_run = np.flatnonzero(busy[_WALK_ROUNDS:] == busy[:-_WALK_ROUNDS] + _WALK_ROUNDS)
+        if len(long_run):
+            settled = int(busy[long_run[0]])
+            busy = busy[: long_run[0]]
+    for _ in range(_WALK_ROUNDS):
+        if not len(busy):
+            break
+        prev = ends[busy - 1]
+        start[busy] = prev
+        ends[busy] = _charge_rows(
+            prev + tuple_cost, charge[busy], mcounts[busy], offs[busy], res, result_cost
+        )
+        nxt = busy + 1
+        if nxt[-1] == settled:
+            nxt = nxt[:-1]
+        busy = nxt[ends[nxt - 1] > start[nxt]]
+    if len(busy):
+        settled = int(busy[0])
+    if settled == n:
+        return res, float(ends[-1]), n
+    return res[: offs[settled]], float(ends[settled - 1]), settled
+
+
+def _clock_walk(
+    now: float,
+    ats: np.ndarray,
+    cands: np.ndarray,
+    mcounts: np.ndarray,
+    tuple_cost: float,
+    compare_cost: float,
+    result_cost: float,
+    skip_first: bool,
+) -> tuple[list[float], float]:
+    """The clock over one segment: result instants and the end time.
+
+    Long segments take :func:`_busy_period_walk`, which hands any rows
+    it leaves unsettled to :func:`_scalar_walk`; short ones, and those
+    that open on a backlog longer than the round limit (every row up
+    to ``_WALK_ROUNDS`` arrived before ``now``), take the scalar loop.
+    Both add the same floats in the same order as the per-tuple path,
+    so the result is bit-identical whichever runs.
+    """
+    res: list[float] = []
+    settled = 0
+    if len(ats) >= _VECTOR_WALK_MIN_ROWS and ats[_WALK_ROUNDS] > now:
+        block, now, settled = _busy_period_walk(
+            now, ats, cands, mcounts, tuple_cost, compare_cost, result_cost, skip_first
+        )
+        res = block.tolist()
+        del block
+        if settled == len(ats):
+            return res, now
+        skip_first = False
+    tail, now = _scalar_walk(
+        now,
+        ats[settled:].tolist(),
+        cands[settled:].tolist(),
+        mcounts[settled:].tolist(),
+        tuple_cost,
+        compare_cost,
+        result_cost,
+        skip_first,
+    )
+    if not settled:
+        return tail, now
+    res += tail
+    return res, now
 
 
 def _segment_results(
@@ -207,8 +365,8 @@ def run_columnar_batch(
     (``flush``) and recorded ``phase``.
 
     Equivalence to the per-tuple protocol: the batch is processed in
-    segments that fit the free memory, the scalar :func:`_clock_walk`
-    replays the exact per-row charge sequence, flush boundaries charge
+    segments that fit the free memory, :func:`_clock_walk` replays the
+    exact per-row charge sequence, flush boundaries charge
     the boundary row before flushing (then skip its charge when the
     segment resumes), and the clock/pool are mirrored in locals and
     written back before any shared-state observer runs — pinned by
@@ -235,7 +393,7 @@ def run_columnar_batch(
     isa = batch.is_a
     pays = batch.payloads
     buckets = table.hash_batch(keys)
-    times_l = batch.times.tolist()
+    times = batch.times
     peak = op.peak_imbalance
     now = clock.now
     used, capacity = memory.fill_level()
@@ -249,7 +407,7 @@ def run_columnar_batch(
                 # The per-tuple loop charges arrival + tuple cost
                 # before it notices memory is full; replay that for the
                 # boundary row, once, however many flush rounds follow.
-                at = times_l[lo]
+                at = float(times[lo])
                 if at > now:
                     now = at
                 now += tuple_cost
@@ -285,9 +443,9 @@ def run_columnar_batch(
         )
         res_times, now = _clock_walk(
             now,
-            times_l[lo:hi],
-            plan.candidates.tolist(),
-            plan.match_counts.tolist(),
+            times[lo:hi],
+            plan.candidates,
+            plan.match_counts,
             tuple_cost,
             compare_cost,
             result_cost,

@@ -70,8 +70,10 @@ class HMJConfig:
             )
         if self.n_buckets is None:
             self.n_buckets = max(200, self.memory_capacity // 10)
-        if self.n_buckets < 1:
-            raise ConfigurationError(f"n_buckets must be >= 1, got {self.n_buckets}")
+        if not isinstance(self.n_buckets, int) or self.n_buckets < 1:
+            raise ConfigurationError(
+                f"n_buckets must be an integer >= 1, got {self.n_buckets!r}"
+            )
         if not 0 < self.flush_fraction <= 1:
             raise ConfigurationError(
                 f"flush_fraction must be in (0, 1], got {self.flush_fraction!r}"

@@ -30,12 +30,15 @@ never touch one.
 
 :meth:`DualHashTable.probe_insert_batch` is the array-native core of
 the columnar data plane: one vectorized hash pass bucketizes a whole
-delivery batch, grouping and matching run on ``argsort``/``cumsum``
+delivery batch, grouping and matching run on stable-sort/``cumsum``
 segments — stored and intra-batch matches alike in one key-sorted join
 over the touched buckets' arena slices and the batch — matches come
 back as emission-ordered ``(probe_row, build_tid)`` columns, and the
 summary table is updated with per-group delta arrays instead of
-``add_one`` per tuple.
+``add_one`` per tuple.  Its three stable sorts go through
+:func:`stable_order`: numpy radix-sorts only integers of 16 bits or
+fewer and runs timsort on int64, so a long segment is ordered by one or
+two 16-bit digit passes instead.
 """
 
 from __future__ import annotations
@@ -102,6 +105,39 @@ class BatchProbeResult:
     probe_rows: np.ndarray | None = None
     build_tids: np.ndarray | None = None
     build_payloads: list | None = None
+
+
+#: Rows per 16-bit digit pass below which :func:`stable_order` leaves
+#: the sort to ``np.argsort``: measured crossover of one radix pass
+#: against int64 timsort at about 700 rows, two passes at about 1,400.
+_RADIX_ROWS_PER_PASS = 700
+
+
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` for an int64 array.
+
+    A stable sort's permutation is unique, so this returns exactly
+    argsort's result.  Values are shifted by their minimum (keys may be
+    negative) and, when their span fits 16 or 32 bits, ordered by one or
+    two stable least-significant-digit passes over ``uint16`` digits,
+    which numpy radix-sorts.  Arrays shorter than
+    ``_RADIX_ROWS_PER_PASS`` rows per pass, or spanning more than 32
+    bits, take ``np.argsort`` itself.
+    """
+    n = len(values)
+    if n < _RADIX_ROWS_PER_PASS:
+        return np.argsort(values, kind="stable")
+    low = int(values.min())
+    span = int(values.max()) - low
+    if span >> 32 or (span >> 16 and n < 2 * _RADIX_ROWS_PER_PASS):
+        return np.argsort(values, kind="stable")
+    shifted = values - low
+    order = np.argsort(shifted.astype(np.uint16), kind="stable")
+    if span >> 16:
+        high = (shifted >> 16).astype(np.uint16)[order]
+        del shifted
+        order = order[np.argsort(high, kind="stable")]
+    return order
 
 
 def _run_bounds(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -603,7 +639,7 @@ class DualHashTable:
         n_slots = self._slots
         # Group rows by bucket, stably: within a bucket run, sorted
         # position order IS arrival order.
-        order_b = np.argsort(buckets, kind="stable")
+        order_b = stable_order(buckets)
         sb = buckets[order_b]
         ia_sorted = is_a[order_b]
         starts, ends = _run_bounds(sb)
@@ -650,7 +686,7 @@ class DualHashTable:
                 np.zeros(n_stored - stored_a, dtype=bool),
                 is_a,
             ))
-        order_k = np.argsort(all_keys, kind="stable")
+        order_k = stable_order(all_keys)
         sk = all_keys[order_k]
         ia_k = all_isa[order_k]
         kstarts, kends = _run_bounds(sk)
@@ -697,7 +733,7 @@ class DualHashTable:
             build[~isa_rep] = a_rows_k[src_idx[~isa_rep]]
             # Emission order: probe (arrival) position; each row's
             # builds already come in scan order.
-            sel = np.argsort(probe_rep, kind="stable")
+            sel = stable_order(probe_rep)
             probe_rows = probe_rep[sel] - n_stored
             build = build[sel]
             all_tids = tids

@@ -385,8 +385,8 @@ class _ColumnarMergePass:
     the clock once per unit of work (compare / page write / page read
     / result), and float addition is non-associative — so the charges
     here replay the exact per-unit sequence in a sequential scalar
-    recurrence on a mirrored local ``now`` (the discipline
-    :func:`~repro.core.columnar._clock_walk` established), with page
+    recurrence on a mirrored local ``now`` (the discipline of the
+    columnar driver's :func:`~repro.core.columnar._scalar_walk`), with page
     I/Os counted locally and folded back in bulk.  The budget boundary
     is re-checked between every two units against the hoisted deadline
     and stop predicate, and every check that fires suspends through one

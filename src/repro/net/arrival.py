@@ -44,7 +44,7 @@ class ArrivalProcess(abc.ABC):
 
     @staticmethod
     def _check_positive(name: str, value: float) -> None:
-        if value <= 0:
+        if not value > 0:  # NaN too
             raise ConfigurationError(f"{name} must be > 0, got {value!r}")
 
 
@@ -94,7 +94,7 @@ class ParetoArrival(ArrivalProcess):
 
     def __init__(self, rate: float, shape: float = 1.5) -> None:
         self._check_positive("rate", rate)
-        if shape <= 1.0:
+        if not shape > 1.0:
             raise ConfigurationError(
                 f"Pareto shape must be > 1 for a finite mean gap, got {shape!r}"
             )
@@ -129,7 +129,7 @@ class BurstyArrival(ArrivalProcess):
             raise ConfigurationError(f"burst_size must be >= 1, got {burst_size}")
         self._check_positive("intra_gap", intra_gap)
         self._check_positive("mean_silence", mean_silence)
-        if shape <= 1.0:
+        if not shape > 1.0:
             raise ConfigurationError(
                 f"Pareto shape must be > 1 for a finite mean silence, got {shape!r}"
             )

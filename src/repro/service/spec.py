@@ -10,6 +10,7 @@ operator and arrival factories).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 from repro.core.config import HMJConfig
@@ -198,6 +199,10 @@ class QuerySpec:
     def memory_budget(self) -> int:
         """The operator memory grant this query asks for, in tuples."""
         if self.memory is not None:
+            if not isinstance(self.memory, (int, float)) or not 0 < self.memory < math.inf:
+                raise ConfigurationError(
+                    f"memory must be a positive, finite tuple count, got {self.memory!r}"
+                )
             return int(self.memory)
         return self.workload().memory_capacity(self.memory_fraction)
 

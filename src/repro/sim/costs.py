@@ -42,8 +42,10 @@ class CostModel:
             raise ConfigurationError(f"page_size must be >= 1, got {self.page_size}")
         for name in ("io_cost", "cpu_tuple_cost", "cpu_compare_cost", "cpu_result_cost"):
             value = getattr(self, name)
-            if value < 0:
-                raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be non-negative and finite, got {value!r}"
+                )
 
     def pages_for(self, n_tuples: int) -> int:
         """Number of disk pages needed to hold ``n_tuples`` tuples."""

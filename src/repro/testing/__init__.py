@@ -12,9 +12,11 @@ Three layers, importable by tests, benchmarks, and the CLI
   ``hash_join`` oracle (the paper's Theorems 1 and 2), plus the
   operator-driving helpers the test suite builds on; alongside it,
   :mod:`repro.testing.scalar_merge` keeps the per-tuple merge pass as
-  the reference the production merging phase is checked against, and
+  the reference the production merging phase is checked against,
   :mod:`repro.testing.scalar_runs` the per-element run merge the
-  kernel's array run extraction is checked against;
+  kernel's array run extraction is checked against, and
+  :mod:`repro.testing.scalar_walk` the per-tuple clock charges the
+  columnar driver's clock walk is checked against;
 * :mod:`repro.testing.metamorphic` — seeded workload rewrites
   (arrival permutation, key relabeling, stream swap, rate rescale)
   with known effect on the correct output.

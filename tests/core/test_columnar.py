@@ -14,8 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.columnar import ColumnBatch
+from repro.core.columnar import (
+    _VECTOR_WALK_MIN_ROWS,
+    _WALK_ROUNDS,
+    ColumnBatch,
+    _busy_period_walk,
+    _clock_walk,
+)
 from repro.core.hashing import DualHashTable
 from repro.errors import SimulationError
 from repro.metrics.recorder import MetricsRecorder
@@ -27,6 +35,7 @@ from repro.sim.scheduler import EventScheduler
 from repro.storage.disk import SimulatedDisk
 from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
 from repro.testing.scalar_runs import ScalarRunScheduler
+from repro.testing.scalar_walk import clock_walk_oracle
 from repro.workloads.generator import make_relation_pair, paper_workload
 
 
@@ -244,6 +253,114 @@ def test_discard_group_clears_without_boxing():
     )
     # The other group and source are untouched.
     assert table.discard_group(SOURCE_A, 0) == 0
+
+
+# -- the clock walk vs the per-tuple oracle ----------------------------------
+
+_COSTS = st.builds(
+    CostModel,
+    cpu_tuple_cost=st.floats(min_value=1e-7, max_value=1e-3),
+    cpu_compare_cost=st.floats(min_value=1e-8, max_value=1e-4),
+    cpu_result_cost=st.floats(min_value=1e-8, max_value=1e-4),
+)
+
+
+def _walk_segment(seed, n, costs, paired, busy_run, backlog, heavy):
+    """One segment's ``(now, arrivals, candidates, match counts)``.
+
+    Gaps are idle (longer than a row's charges), zero (``paired``: A
+    and B rows at one instant, as under equal constant rates) or
+    shorter than the tuple cost; ``busy_run`` rows from a random point
+    on arrive at one instant, one busy period that long; ``backlog``
+    rows arrived before ``now``; ``heavy`` rows emit many results.
+    """
+    rng = np.random.default_rng(seed)
+    idle = 200 * costs.cpu_tuple_cost + 1e-3
+    kind = rng.choice(3, size=n, p=[0.4, paired, 0.6 - paired])
+    gaps = np.where(kind == 0, idle, np.where(kind == 1, 0.0, costs.cpu_tuple_cost / 3))
+    if busy_run and n > 1:
+        at = int(rng.integers(0, n))
+        gaps[at + 1:at + busy_run] = 0.0
+    ats = 0.25 + np.cumsum(gaps)
+    cands = rng.integers(0, 30, size=n) * (rng.random(n) < 0.7)
+    mcounts = rng.integers(0, 4, size=n) * (rng.random(n) < 0.4)
+    mcounts[rng.integers(0, n, size=heavy)] = rng.integers(20, 80, size=heavy)
+    now = float(ats[min(backlog, n - 1)]) if backlog else 0.1
+    return now, ats, cands.astype(np.int64), mcounts.astype(np.int64)
+
+
+def _walk_oracle(now, ats, cands, mcounts, costs, skip_first):
+    return clock_walk_oracle(
+        now, ats.tolist(), cands.tolist(), mcounts.tolist(), costs, skip_first
+    )
+
+
+def _walk_charges(costs):
+    return costs.cpu_tuple_cost, costs.cpu_compare_cost, costs.result_time(1)
+
+
+_WALK_SHAPES = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    costs=_COSTS,
+    paired=st.sampled_from([0.0, 0.3, 0.6]),
+    backlog=st.sampled_from([0, 1, _WALK_ROUNDS, _WALK_ROUNDS + 1, 40]),
+    heavy=st.integers(min_value=0, max_value=3),
+    skip_first=st.booleans(),
+)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    busy_run=st.sampled_from([0, 2, _WALK_ROUNDS, _WALK_ROUNDS + 1, _WALK_ROUNDS + 2, 30]),
+    **_WALK_SHAPES,
+)
+def test_busy_period_walk_settles_an_exact_prefix(
+    n, busy_run, seed, costs, paired, backlog, heavy, skip_first
+):
+    """Rows ``[0, settled)`` are bit-equal to the per-tuple oracle, and
+    the oracle resumed from the returned end reproduces the rest."""
+    now, ats, cands, mcounts = _walk_segment(seed, n, costs, paired, busy_run, backlog, heavy)
+    expected = _walk_oracle(now, ats, cands, mcounts, costs, skip_first)
+    head, end, settled = _busy_period_walk(
+        now, ats, cands, mcounts, *_walk_charges(costs), skip_first
+    )
+    assert 1 <= settled <= n
+    tail, final = _walk_oracle(
+        end, ats[settled:], cands[settled:], mcounts[settled:], costs, skip_first and settled == 0
+    )
+    assert (head.tolist() + tail, final) == expected
+
+
+@given(
+    n=st.sampled_from([1, _WALK_ROUNDS + 1, _VECTOR_WALK_MIN_ROWS - 1,
+                       _VECTOR_WALK_MIN_ROWS, _VECTOR_WALK_MIN_ROWS + 1, 1500]),
+    busy_run=st.sampled_from([0, 2, _WALK_ROUNDS + 2, 300]),
+    **_WALK_SHAPES,
+)
+def test_clock_walk_is_bit_equal_to_per_tuple_oracle(
+    n, busy_run, seed, costs, paired, backlog, heavy, skip_first
+):
+    now, ats, cands, mcounts = _walk_segment(seed, n, costs, paired, busy_run, backlog, heavy)
+    times, end = _clock_walk(now, ats, cands, mcounts, *_walk_charges(costs), skip_first)
+    assert (times, end) == _walk_oracle(now, ats, cands, mcounts, costs, skip_first)
+    assert all(type(t) is float for t in times) and type(end) is float
+
+
+def test_busy_period_walk_converges_on_short_periods_and_hands_off_long_ones():
+    costs = CostModel()
+    # Pairs at one instant: every busy period is two rows long.
+    ats = np.repeat(np.arange(600) * 1e-3, 2)
+    cands = np.ones(1200, dtype=np.int64)
+    mcounts = np.tile(np.array([0, 2], dtype=np.int64), 600)
+    _, _, settled = _busy_period_walk(0.0, ats, cands, mcounts, *_walk_charges(costs), False)
+    assert settled == 1200
+    # A burst at row 100 longer than the round limit: the walk stops
+    # where the burst starts.
+    ats[100:100 + 2 * _WALK_ROUNDS] = ats[100]
+    _, _, settled = _busy_period_walk(0.0, ats, cands, mcounts, *_walk_charges(costs), False)
+    assert settled == 101
+    times, end = _clock_walk(0.0, ats, cands, mcounts, *_walk_charges(costs), False)
+    assert (times, end) == _walk_oracle(0.0, ats, cands, mcounts, costs, False)
 
 
 # -- recorder column-slice appends -------------------------------------------

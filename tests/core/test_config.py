@@ -18,8 +18,9 @@ def test_defaults_follow_the_paper():
 def test_validation():
     with pytest.raises(ConfigurationError):
         HMJConfig(memory_capacity=1)
-    with pytest.raises(ConfigurationError):
-        HMJConfig(memory_capacity=10, n_buckets=0)
+    for n_buckets in (0, 2.5, float("nan")):
+        with pytest.raises(ConfigurationError, match="n_buckets"):
+            HMJConfig(memory_capacity=10, n_buckets=n_buckets)
     with pytest.raises(ConfigurationError):
         HMJConfig(memory_capacity=10, flush_fraction=0.0)
     with pytest.raises(ConfigurationError):

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.core.hashing import DualHashTable
+from repro.core.hashing import _RADIX_ROWS_PER_PASS, DualHashTable, stable_order
 from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
 
 
@@ -23,6 +23,33 @@ def test_validation():
         DualHashTable(4, 0)
     with pytest.raises(ConfigurationError):
         DualHashTable(4, 5)
+
+
+_SPANS = [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62]
+_LENGTHS = [0, 1, 2, _RADIX_ROWS_PER_PASS - 1, _RADIX_ROWS_PER_PASS,
+            2 * _RADIX_ROWS_PER_PASS - 1, 2 * _RADIX_ROWS_PER_PASS, 5000]
+
+
+@pytest.mark.parametrize("span", _SPANS)
+@given(
+    n=st.sampled_from(_LENGTHS),
+    low=st.integers(min_value=-(2**40), max_value=2**40),
+    distinct=st.integers(min_value=1, max_value=50),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stable_order_is_stable_argsort(n, span, low, distinct, seed):
+    """The digit passes give argsort's unique stable permutation: negative
+    keys, ties (``distinct`` values, so rows repeat), the exact span
+    edges of one and two 16-bit passes and lengths either side of the
+    fallback."""
+    rng = np.random.default_rng(seed)
+    choices = np.unique(rng.integers(0, span, size=distinct, endpoint=True))
+    values = low + rng.choice(choices, size=n)
+    if n >= 2:
+        values[rng.choice(n, size=2, replace=False)] = (low, low + span)
+    assert values.dtype == np.int64
+    order = stable_order(values)
+    assert np.array_equal(order, np.argsort(values, kind="stable"))
 
 
 def test_bucket_of_is_deterministic_and_in_range():

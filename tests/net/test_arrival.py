@@ -27,6 +27,32 @@ def test_constant_rate_validation():
         ConstantRate(rate=0.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ConstantRate(rate=NAN),
+        lambda: PoissonArrival(rate=NAN),
+        lambda: ParetoArrival(rate=NAN),
+        lambda: ParetoArrival(rate=1.0, shape=NAN),
+        lambda: BurstyArrival(burst_size=2, intra_gap=NAN, mean_silence=1.0),
+        lambda: BurstyArrival(burst_size=2, intra_gap=0.1, mean_silence=NAN),
+        lambda: BurstyArrival(burst_size=2, intra_gap=0.1, mean_silence=1.0, shape=NAN),
+    ],
+    ids=[
+        "constant-rate", "poisson-rate", "pareto-rate", "pareto-shape",
+        "bursty-intra_gap", "bursty-mean_silence", "bursty-shape",
+    ],
+)
+def test_nan_parameters_rejected(make):
+    # NaN compares false both ways: a `value <= 0` check would let it
+    # through as an infinitely fast (or silently broken) source.
+    with pytest.raises(ConfigurationError):
+        make()
+
+
 def test_arrival_times_are_cumulative():
     times = ConstantRate(rate=2.0).arrival_times(3, rng())
     assert np.allclose(times, [0.5, 1.0, 1.5])

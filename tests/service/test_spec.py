@@ -59,6 +59,25 @@ def test_build_rejects_non_integer_fan_in(algorithm, fan_in):
         QuerySpec(algorithm=algorithm, n=80, fan_in=fan_in).build()
 
 
+@pytest.mark.parametrize("n_buckets", [2.5, float("nan")])
+def test_build_rejects_non_integer_n_buckets(n_buckets):
+    with pytest.raises(ConfigurationError, match="n_buckets"):
+        QuerySpec(algorithm="hmj", n=80, n_buckets=n_buckets).build()
+
+
+@pytest.mark.parametrize("algorithm", ["hmj", "xjoin", "pmj", "dphj", "shj"])
+@pytest.mark.parametrize("memory", [float("nan"), float("inf"), 0, -5, "100"])
+def test_build_rejects_non_finite_or_non_positive_memory(algorithm, memory):
+    with pytest.raises(ConfigurationError, match="memory"):
+        QuerySpec(algorithm=algorithm, n=80, memory=memory).build()
+
+
+@pytest.mark.parametrize("arrival", ["constant", "poisson", "pareto", "bursty"])
+def test_build_rejects_nan_rate(arrival):
+    with pytest.raises(ConfigurationError, match="must be > 0"):
+        QuerySpec(arrival=arrival, n=80, rate=float("nan")).build()
+
+
 def test_make_arrival_and_operator_reject_unknown_names():
     with pytest.raises(ConfigurationError):
         make_arrival("teleport", 100.0, 400)

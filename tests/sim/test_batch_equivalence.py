@@ -7,7 +7,7 @@ extraction included); every other operator, and HMJ subclasses that
 override ``on_tuple``, replay the boxed run through ``on_tuple``.
 For any workload both kernel paths must produce the identical
 ``(count, final clock, io)`` triple *and* the identical result-event
-sequence.  This suite pins that equivalence five ways:
+sequence.  This suite pins that equivalence six ways:
 
 * every cell of the six pinned figure benchmarks (the exact scenarios
   ``test_determinism.py`` captures) through both paths, plus the rest
@@ -17,6 +17,10 @@ sequence.  This suite pins that equivalence five ways:
   Pareto), tiny memory budgets that force flushing mid-run (segmented
   columnar batches with mid-batch flush points), and early stops that
   land mid-batch;
+* long segments: an all-memory constant-rate run (one segment, A
+  and B rows at one instant) and bursty tight-memory runs (segments
+  of about a thousand rows after each flush) cross the length switch
+  into the busy-period clock walk and the radix-ordered sorts;
 * an explicit ``stop_after`` granularity check: the batched path must
   halt after the same number of delivered tuples as the per-tuple path,
   not at the end of the batch the stop fired in;
@@ -36,6 +40,7 @@ from hypothesis import strategies as st
 from repro.bench.figures import BLOCKING_T, _bursty
 from repro.bench.runner import execute
 from repro.bench.scale import BenchScale
+from repro.core import columnar
 from repro.core.config import HMJConfig
 from repro.core.flushing import FlushSmallestPolicy
 from repro.core.hmj import HashMergeJoin
@@ -43,7 +48,7 @@ from repro.joins.dphj import DoublePipelinedHashJoin
 from repro.joins.pmj import ProgressiveMergeJoin
 from repro.joins.symmetric_hash import SymmetricHashJoin
 from repro.joins.xjoin import XJoin, XJoinStaticMemory
-from repro.net.arrival import ConstantRate, ParetoArrival, PoissonArrival
+from repro.net.arrival import BurstyArrival, ConstantRate, ParetoArrival, PoissonArrival
 from repro.errors import ConfigurationError
 from repro.net.source import NetworkSource
 from repro.sim.engine import run_join
@@ -218,6 +223,75 @@ def test_batched_paths_equivalent_on_random_workloads(
         )
         signatures[label] = _signature(result)
     assert signatures["batched"] == signatures["per_tuple"]
+
+
+# -- long segments: the busy-period clock walk and radix sorts ---------------
+
+
+@pytest.fixture
+def busy_walks(monkeypatch):
+    """``(rows, settled)`` of every busy-period walk a run takes."""
+    calls = []
+    walk = columnar._busy_period_walk
+
+    def spy(now, ats, *args):
+        block, end, settled = walk(now, ats, *args)
+        calls.append((len(ats), settled))
+        return block, end, settled
+
+    monkeypatch.setattr(columnar, "_busy_period_walk", spy)
+    return calls
+
+
+def _hmj_signatures(spec, memory, make_arrival, **config):
+    signatures = {}
+    for label, path in PATHS.items():
+        rel_a, rel_b = make_relation_pair(spec)
+        result = execute(
+            rel_a,
+            rel_b,
+            HashMergeJoin(HMJConfig(memory_capacity=memory, **config)),
+            make_arrival(),
+            make_arrival(),
+            blocking_threshold=0.05,
+            **path,
+        )
+        signatures[label] = _signature(result)
+    return signatures
+
+
+@pytest.mark.parametrize("key_range", [3000, 2**17 + 3], ids=["dense", "wide-keys"])
+def test_all_memory_constant_rate_run_is_one_long_segment(key_range, busy_walks):
+    """Equal constant rates put each A row and B row at one instant,
+    and memory for the whole input makes the run one 3000-row segment:
+    the busy-period walk settles its 1500 two-row busy periods, and
+    the segment sorts take one 16-bit digit pass (dense keys) or two
+    (wide keys)."""
+    spec = WorkloadSpec(n_a=1500, n_b=1500, key_range=key_range, seed=7)
+    signatures = _hmj_signatures(spec, 3000, lambda: ConstantRate(2000.0))
+    assert signatures["batched"] == signatures["per_tuple"]
+    assert busy_walks == [(3000, 3000)]
+
+
+@pytest.mark.parametrize(
+    "intra_gap, settles",
+    [(1e-6, False), (8e-6, False), (2e-5, True)],
+    ids=["cpu-bound-bursts", "growing-backlog", "idle-gaps"],
+)
+def test_bursty_tight_memory_long_segments(intra_gap, settles, busy_walks):
+    """Bursts of 600 rows into memory for 2000, half of it flushed at
+    a time, give segments of about a thousand rows.  Bursts faster than
+    a row's charges make busy periods longer than the round limit, so
+    the walk hands the rest of the segment to the scalar loop; slower
+    bursts settle whole.  Flushes that end after the next rows arrived
+    open segments on a backlog, which take the scalar loop outright."""
+    spec = WorkloadSpec(n_a=4000, n_b=4000, key_range=1000, seed=7)
+    signatures = _hmj_signatures(
+        spec, 2000, lambda: BurstyArrival(300, intra_gap, 0.5), flush_fraction=0.5
+    )
+    assert signatures["batched"] == signatures["per_tuple"]
+    assert busy_walks
+    assert all(settled == rows for rows, settled in busy_walks) == settles
 
 
 # -- early-stop granularity --------------------------------------------------

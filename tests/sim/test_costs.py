@@ -28,6 +28,17 @@ def test_negative_costs_rejected(field):
         CostModel(**{field: -1e-6})
 
 
+@pytest.mark.parametrize(
+    "field", ["io_cost", "cpu_tuple_cost", "cpu_compare_cost", "cpu_result_cost"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_costs_rejected(field, value):
+    # 0 * inf is NaN: an infinite charge would make a zero-candidate
+    # row's array walk differ from the per-tuple path, which skips it.
+    with pytest.raises(ConfigurationError):
+        CostModel(**{field: value})
+
+
 def test_zero_costs_allowed():
     # A free cost model is legal (pure counting experiments).
     costs = CostModel(io_cost=0.0, cpu_tuple_cost=0.0)
