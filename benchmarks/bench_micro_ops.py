@@ -146,8 +146,7 @@ def test_kernel_batched_delivery_throughput(benchmark):
 
 
 def test_kernel_per_tuple_delivery_throughput(benchmark):
-    # The per-event reference batched delivery is measured against; the
-    # tracked ratio lives in BENCH_kernel.json (repro.bench.kernel).
+    # The per-event reference batched delivery is measured against.
     spec = WorkloadSpec(n_a=4000, n_b=4000, key_range=8000, seed=9)
     rel_a, rel_b = make_relation_pair(spec)
     assert benchmark(lambda: _delivery_run(rel_a, rel_b, False)) > 0

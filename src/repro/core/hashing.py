@@ -672,7 +672,7 @@ class DualHashTable:
         # bucket position, then batch rows by arrival.  A row's matches
         # are the opposite-source entries before it in its key run.
         # The stored part is skipped when the touched buckets are empty
-        # — the mega-batch case the kernel benchmark measures.
+        # — the mega-batch case `python -m perf`'s `stream-1m` times.
         stored_a = int(run_counts[:n_runs].sum())
         n_stored = int(run_counts.sum())
         all_keys, all_isa = keys, is_a

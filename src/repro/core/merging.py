@@ -135,8 +135,7 @@ class MergeScheduler:
         """Total tuples ever flushed to this scheduler (both sides).
 
         Merge-pass outputs do not count: this measures how much of the
-        *input* spilled, the denominator of the merge-heavy benchmark's
-        flushed-fraction check.
+        *input* spilled.
         """
         return self._tuples_flushed
 

@@ -10,8 +10,7 @@ single-bucket-group special case (end of the paper's Section 3.2).
 
 Like HMJ, this implementation merges opportunistically while both
 sources are blocked (the behaviour Figure 14 shows as PMJ's step-like
-curve); set ``merge_on_block=False`` for the strict merge-only-at-end
-variant.
+curve).
 """
 
 from __future__ import annotations
@@ -32,12 +31,7 @@ class ProgressiveMergeJoin(StreamingJoinOperator):
     PHASE_SORTING = "sorting"
     PHASE_MERGING = "merging"
 
-    def __init__(
-        self,
-        memory_capacity: int,
-        fan_in: int = 8,
-        merge_on_block: bool = True,
-    ) -> None:
+    def __init__(self, memory_capacity: int, fan_in: int = 8) -> None:
         super().__init__()
         if memory_capacity < 2:
             raise ConfigurationError(
@@ -45,7 +39,6 @@ class ProgressiveMergeJoin(StreamingJoinOperator):
             )
         self._capacity = memory_capacity
         self._fan_in = fan_in
-        self._merge_on_block = merge_on_block
         self._memory: MemoryPool | None = None
         self._scheduler: MergeScheduler | None = None
         self._pending_a: list[Tuple] = []
@@ -95,13 +88,10 @@ class ProgressiveMergeJoin(StreamingJoinOperator):
         self.memory.allocate(1)
 
     def has_background_work(self) -> bool:
-        if not self._merge_on_block:
-            return False
         return self.scheduler.has_result_work()
 
     def on_blocked(self, budget: WorkBudget) -> None:
-        if self._merge_on_block:
-            self.scheduler.work(budget)
+        self.scheduler.work(budget)
 
     def memory_usage(self) -> tuple[int, int] | None:
         if self._memory is None:

@@ -321,6 +321,11 @@ class MetricsRecorder:
         n = len(times)
         if n == 0:
             return
+        if times[0] < self._last_time:
+            raise SimulationError(
+                f"result emitted at {times[0]} before previous result at {self._last_time}"
+            )
+        self._last_time = float(times[-1])
         scalar_io = isinstance(io, int)
         self._times.extend(times)
         if scalar_io:

@@ -33,7 +33,7 @@ from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.sim.scheduler import EventScheduler
 from repro.storage.disk import SimulatedDisk
-from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple
+from repro.storage.tuples import SOURCE_A, SOURCE_B, Tuple, make_result
 from repro.testing.scalar_runs import ScalarRunScheduler
 from repro.testing.scalar_walk import clock_walk_oracle
 from repro.workloads.generator import make_relation_pair, paper_workload
@@ -366,8 +366,8 @@ def test_busy_period_walk_converges_on_short_periods_and_hands_off_long_ones():
 # -- recorder column-slice appends -------------------------------------------
 
 
-def _recorder(keep_results):
-    clock = VirtualClock()
+def _recorder(keep_results, clock=None):
+    clock = clock or VirtualClock()
     disk = SimulatedDisk(clock, CostModel())
     return MetricsRecorder(clock, disk, keep_results=keep_results)
 
@@ -433,21 +433,38 @@ def test_append_batch_columns_materialises_lazily():
     assert segment.materialised == 1
 
 
+def _join_result():
+    return make_result(
+        Tuple(key=9, tid=0, source=SOURCE_A), Tuple(key=9, tid=0, source=SOURCE_B)
+    )
+
+
 def test_append_batch_columns_interleaves_with_record():
-    recorder = _recorder(keep_results=False)
-    seen = []
+    clock = VirtualClock()
+    recorder = _recorder(keep_results=False, clock=clock)
     recorder.append_batch_columns([0.1], io=0, phase="hashing")
+    clock.advance_to(0.1)
     # A later per-event record keeps k numbering continuous even though
     # the earlier events were never boxed.
-    from repro.storage.tuples import JoinResult, make_result
-
-    a = Tuple(key=9, tid=0, source=SOURCE_A)
-    b = Tuple(key=9, tid=0, source=SOURCE_B)
-    event = recorder.record(make_result(a, b), phase="cleanup")
+    event = recorder.record(_join_result(), phase="cleanup")
     assert event.k == 2
     assert [e.k for e in recorder.iter_events()] == [1, 2]
     assert recorder.count_in_phase("cleanup") == 1
-    del seen, JoinResult
+
+
+def test_append_batch_columns_keeps_time_order_with_record():
+    # A batch may not start before the last recorded result ...
+    clock = VirtualClock()
+    recorder = _recorder(keep_results=False, clock=clock)
+    clock.advance_to(0.5)
+    recorder.record(_join_result(), phase="hashing")
+    with pytest.raises(SimulationError, match="before previous result"):
+        recorder.append_batch_columns([0.4, 0.6], io=0, phase="hashing")
+    # ... and a record may not fall before a batch's last result.
+    recorder = _recorder(keep_results=False)
+    recorder.append_batch_columns([0.1, 0.3], io=0, phase="hashing")
+    with pytest.raises(SimulationError, match="before previous result"):
+        recorder.record(_join_result(), phase="cleanup")
 
 
 # -- vectorized run extraction vs the scalar merge ---------------------------

@@ -48,19 +48,26 @@ def sorted_tuples(rng, n, source, key_range, tid_start, with_payload=False):
     return ts
 
 
-def build(merge_path):
-    """A scheduler over a shared deterministic flush history."""
+def scheduler_for(merge_path, costs, fan_in, n_groups):
     clock = VirtualClock()
-    disk = SimulatedDisk(clock, CostModel(page_size=PAGE))
+    disk = SimulatedDisk(clock, costs)
     recorder = MetricsRecorder(clock, disk, keep_results=True)
     scheduler = SCHEDULERS[merge_path](
         disk=disk,
         clock=clock,
         costs=disk.costs,
         partition_prefix="test",
-        fan_in=FAN_IN,
-        n_groups=N_GROUPS,
+        fan_in=fan_in,
+        n_groups=n_groups,
         recorder=recorder,
+    )
+    return scheduler, clock, disk, recorder
+
+
+def build(merge_path):
+    """A scheduler over a shared deterministic flush history."""
+    scheduler, clock, disk, recorder = scheduler_for(
+        merge_path, CostModel(page_size=PAGE), FAN_IN, N_GROUPS
     )
     rng = random.Random(42)
     tid = 0
@@ -80,6 +87,30 @@ def build(merge_path):
             if not ts_a and not ts_b:
                 ts_b = sorted_tuples(rng, 1, SOURCE_B, 12, tid)
                 tid += 1
+            scheduler.register_flush(group, ts_a, ts_b)
+    scheduler.mark_input_ended()
+    return scheduler, clock, disk, recorder
+
+
+def build_merge_heavy(merge_path):
+    """Everything spilled: the state HMJ reaches with memory for ~10%.
+
+    8 groups x 6 flushes x 2 sides x 42 tuples (4032 in all) on
+    default-size pages.  Six flushes against a fan-in of 4 re-merge
+    runs over several passes, and 504 keys give about four duplicates
+    per key per side.
+    """
+    n_groups, per_side, key_range = 8, 42, 504
+    scheduler, clock, disk, recorder = scheduler_for(
+        merge_path, CostModel(), 4, n_groups
+    )
+    rng = random.Random(7)
+    tid = 0
+    for group in range(n_groups):
+        for _ in range(6):
+            ts_a = sorted_tuples(rng, per_side, SOURCE_A, key_range, tid)
+            ts_b = sorted_tuples(rng, per_side, SOURCE_B, key_range, tid + per_side)
+            tid += 2 * per_side
             scheduler.register_flush(group, ts_a, ts_b)
     scheduler.mark_input_ended()
     return scheduler, clock, disk, recorder
@@ -120,6 +151,14 @@ def scalar_uninterrupted():
 
 def test_cross_path_triples_identical(scalar_uninterrupted):
     assert drain(*build("columnar")) == scalar_uninterrupted
+
+
+@pytest.mark.parametrize("step_pages", [None, 2.5])
+def test_cross_path_triples_identical_merge_heavy(step_pages):
+    step = None if step_pages is None else CostModel().io_time(1) * step_pages
+    scalar = drain(*build_merge_heavy("scalar"), step=step)
+    assert scalar[0] and scalar[-2] > 0  # results, and pages read back
+    assert drain(*build_merge_heavy("columnar"), step=step) == scalar
 
 
 @pytest.mark.parametrize("merge_path", ["scalar", "columnar"])

@@ -83,22 +83,6 @@ def test_merge_on_block_produces_results_when_blocked():
     assert runtime.recorder.count > before
 
 
-def test_merge_on_block_disabled_defers_to_finish():
-    keys = list(range(30))
-    rel_a = keys_relation(keys, SOURCE_A)
-    rel_b = keys_relation(keys, SOURCE_B)
-    op = ProgressiveMergeJoin(memory_capacity=10, merge_on_block=False)
-    runtime = make_runtime()
-    op.bind(runtime)
-    for t in list(rel_a) + list(rel_b):
-        op.on_tuple(t)
-    assert not op.has_background_work()
-    op.on_blocked(WorkBudget.unbounded(runtime.clock))
-    assert runtime.recorder.count_in_phase("merging") == 0
-    op.finish(WorkBudget.unbounded(runtime.clock))
-    assert runtime.recorder.count == 30
-
-
 @pytest.mark.parametrize("memory", [2, 5, 9, 30])
 def test_various_memory_sizes(memory, small_relations):
     rel_a, rel_b = small_relations
