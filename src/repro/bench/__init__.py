@@ -31,7 +31,6 @@ from repro.bench.grid import (
     CellSpec,
     FigureGrid,
     GridRunner,
-    RecorderSnapshot,
     run_cell,
     run_figure_grid,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "FigureGrid",
     "FigureReport",
     "GridRunner",
-    "RecorderSnapshot",
     "ResultCache",
     "ShapeCheck",
     "bench_scale",

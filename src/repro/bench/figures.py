@@ -52,7 +52,7 @@ from repro.core.hmj import HashMergeJoin
 from repro.errors import ConfigurationError
 from repro.metrics.ascii_plot import plot_series
 from repro.metrics.report import format_comparison, format_table
-from repro.metrics.series import Series
+from repro.metrics.series import Series, series_from_recorder
 from repro.net.arrival import BurstyArrival
 
 #: Blocking threshold T (Section 6.3) used by the bursty experiments.
@@ -108,15 +108,11 @@ def _hmj_cell(
     )
 
 
-def _series(rec, name: str, metric: str, ks: list[int]) -> Series:
-    """``series_from_recorder`` for recorder snapshots (same output)."""
-    getter = rec.time_to_kth if metric == "time" else rec.io_to_kth
-    points = [(k, float(getter(k))) for k in ks if 1 <= k <= rec.count]
-    return Series(name=name, metric=metric, points=points)
-
-
 def _named_series(recs: Mapping, metric: str, ks: list[int]) -> list[Series]:
-    return [_series(rec, name, metric, ks) for name, rec in recs.items()]
+    return [
+        series_from_recorder(rec, name, metric=metric, ks=ks)
+        for name, rec in recs.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +150,7 @@ def _fig09_build(
     hashing_counts: list[int] = []
     total_ios: list[int] = []
     for p in _FIG09_FRACTIONS:
-        rec = results[f"p={p:.0%}"].recorder
+        rec = results[f"p={p:.0%}"]
         config = HMJConfig(memory_capacity=memory, flush_fraction=p, fan_in=16)
         hashing = rec.count_in_phase(HashMergeJoin.PHASE_HASHING)
         io = rec.total_io()
@@ -220,7 +216,7 @@ def _fig10_build(
     scale: BenchScale, results: Mapping[str, CellResult]
 ) -> FigureReport:
     """Figure 10: time and I/O to the k-th result per flushing policy."""
-    recs = {name: results[key].recorder for name, key in _FIG10_POLICIES}
+    recs = {name: results[key] for name, key in _FIG10_POLICIES}
     hashing_counts = {
         name: rec.count_in_phase(HashMergeJoin.PHASE_HASHING)
         for name, rec in recs.items()
@@ -316,7 +312,7 @@ def _three_way_cells(
 
 
 def _three_way_recs(results: Mapping[str, CellResult]):
-    return {name: results[name].recorder for name, _ in _THREE_WAY}
+    return {name: results[name] for name, _ in _THREE_WAY}
 
 
 def _three_way_tables(recs) -> str:
@@ -514,7 +510,7 @@ def _fig13_build(
     for fraction in _FIG13_FRACTIONS:
         memory = scale.spec.memory_capacity(fraction)
         times = {
-            name: results[f"{name}@{fraction:.0%}"].recorder.time_to_kth(first_k)
+            name: results[f"{name}@{fraction:.0%}"].time_to_kth(first_k)
             for name in ("HMJ", "PMJ")
         }
         hmj_times[fraction] = times["HMJ"]

@@ -12,10 +12,10 @@ machine.
 :class:`GridRunner` executes a batch of cells, fanning misses out over
 a ``ProcessPoolExecutor`` (``jobs > 1``) and consulting an optional
 :class:`~repro.bench.cache.ResultCache` first, so reruns are
-incremental.  A cell's payload is a :class:`CellResult`: the full
-per-result event rows plus the final clock/IO counters — everything a
-figure builder needs, and nothing a worker cannot pickle (the live
-recorder would drag the whole simulated disk along).
+incremental.  A cell's payload is a :class:`CellResult`: the run's
+per-result time/I-O/phase columns plus the final clock/IO counters —
+everything a figure builder needs, and nothing a worker cannot pickle
+(the live recorder would drag the whole simulated disk along).
 """
 
 from __future__ import annotations
@@ -29,32 +29,13 @@ from typing import Callable, Mapping, Sequence
 
 from repro.bench.cache import ResultCache
 from repro.bench.runner import execute
-from repro.core.config import HMJConfig
-from repro.core.flushing import (
-    AdaptiveFlushingPolicy,
-    FlushAllPolicy,
-    FlushLargestPolicy,
-    FlushSmallestPolicy,
-)
-from repro.core.hmj import HashMergeJoin
 from repro.errors import ConfigurationError
-from repro.joins.base import StreamingJoinOperator
-from repro.joins.pmj import ProgressiveMergeJoin
-from repro.joins.xjoin import XJoin
-from repro.metrics.recorder import ReadOnlyView, ResultEvent
+from repro.metrics.recorder import ResultColumns
 from repro.net.arrival import ArrivalProcess, BurstyArrival, ConstantRate
+from repro.service.spec import ALGORITHMS, make_operator
 from repro.sim.broker import ResourceBroker
 from repro.storage.tuples import Relation
 from repro.workloads.generator import WorkloadSpec, make_relation_pair
-
-_POLICIES = {
-    "adaptive": AdaptiveFlushingPolicy,
-    "all": FlushAllPolicy,
-    "smallest": FlushSmallestPolicy,
-    "largest": FlushLargestPolicy,
-}
-
-_OPERATORS = ("hmj", "xjoin", "pmj")
 
 
 def constant_arrival(rate: float) -> tuple:
@@ -91,10 +72,11 @@ class CellSpec:
         cell_id: Unique label within the figure (presentation only).
         workload: The two-relation workload; relations are regenerated
             deterministically from it inside the executing process.
-        operator: ``"hmj"``, ``"xjoin"``, or ``"pmj"``.
-        operator_params: Sorted ``(name, value)`` constructor kwargs;
-            HMJ accepts a ``("policy", name)`` entry resolved through
-            the policy registry.
+        operator: One of :data:`~repro.service.spec.ALGORITHMS`.
+        operator_params: Sorted ``(name, value)`` pairs: a
+            ``memory_capacity`` plus any other
+            :func:`~repro.service.spec.make_operator` keyword
+            (``flush_fraction``, ``fan_in``, ``policy``, ...).
         arrival_a / arrival_b: Arrival spec tuples (see
             :func:`constant_arrival` / :func:`bursty_arrival`).
         seed_a / seed_b: Network-source seeds — the per-cell seeding is
@@ -119,9 +101,9 @@ class CellSpec:
     memory_schedule: tuple[tuple[float, int], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.operator not in _OPERATORS:
+        if self.operator not in ALGORITHMS:
             raise ConfigurationError(
-                f"operator must be one of {_OPERATORS}, got {self.operator!r}"
+                f"operator must be one of {ALGORITHMS}, got {self.operator!r}"
             )
 
     @property
@@ -130,72 +112,16 @@ class CellSpec:
         return f"{self.figure_id}/{self.cell_id}"
 
 
-class RecorderSnapshot:
-    """Read-only, picklable view with the recorder's query API.
-
-    Mirrors the :class:`~repro.metrics.recorder.MetricsRecorder`
-    methods the figure builders use (``time_to_kth``, ``io_to_kth``,
-    ``count_in_phase``, ``total_time``, ``total_io``, ``count``,
-    ``events``) over a plain list of event rows.
-    """
-
-    __slots__ = ("_events", "_events_view", "_final_io")
-
-    def __init__(self, events: list[ResultEvent], final_io: int) -> None:
-        self._events = events
-        self._events_view: ReadOnlyView[ResultEvent] = ReadOnlyView(events)
-        self._final_io = final_io
-
-    @property
-    def count(self) -> int:
-        """Total results recorded."""
-        return len(self._events)
-
-    @property
-    def events(self) -> ReadOnlyView[ResultEvent]:
-        """All recorded events, in emission order (zero-copy)."""
-        return self._events_view
-
-    def time_to_kth(self, k: int) -> float:
-        """Virtual time at which the k-th result appeared."""
-        return self._event_at(k).time
-
-    def io_to_kth(self, k: int) -> int:
-        """Cumulative page I/Os when the k-th result appeared."""
-        return self._event_at(k).io
-
-    def total_time(self) -> float:
-        """Virtual time of the final result (0.0 if none)."""
-        if not self._events:
-            return 0.0
-        return self._events[-1].time
-
-    def total_io(self) -> int:
-        """Cumulative page I/Os at the final result (run total if none)."""
-        if not self._events:
-            return self._final_io
-        return self._events[-1].io
-
-    def count_in_phase(self, phase: str) -> int:
-        """Number of results the given phase produced."""
-        return sum(1 for e in self._events if e.phase == phase)
-
-    def _event_at(self, k: int) -> ResultEvent:
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        if k > len(self._events):
-            raise ConfigurationError(
-                f"only {len(self._events)} results recorded; k={k} unavailable"
-            )
-        return self._events[k - 1]
-
-
-@dataclass(slots=True)
-class CellResult:
+class CellResult(ResultColumns):
     """Everything one executed cell hands back (picklable).
 
+    Holds the run's result columns (time, page I/O, phase per result)
+    and answers the recorder's queries (``count``, ``time_to_kth``,
+    ``io_to_kth``, ``total_time``, ``total_io``, ``count_in_phase``,
+    ``events``) through :class:`~repro.metrics.recorder.ResultColumns`,
+    so the figure builders read it exactly like a live recorder.
+
     Attributes:
-        events: Per-result ``(k, time, io, phase)`` rows.
         final_clock: Virtual clock at end of run.
         final_io: The disk's cumulative I/O counter at end of run.
         completed: False when the run hit ``stop_after``.
@@ -204,37 +130,46 @@ class CellResult:
         wall_seconds: Real execution time of the simulation.
     """
 
-    events: list[ResultEvent]
-    final_clock: float
-    final_io: int
-    completed: bool
-    broker_applied: int
-    wall_seconds: float
+    __slots__ = (
+        "final_clock", "final_io", "completed", "broker_applied", "wall_seconds"
+    )
 
-    @property
-    def count(self) -> int:
-        """Number of results the cell produced."""
-        return len(self.events)
+    def __init__(
+        self,
+        times: list[float],
+        ios: list[int],
+        phases: list[str],
+        final_clock: float,
+        final_io: int,
+        completed: bool,
+        broker_applied: int,
+        wall_seconds: float,
+    ) -> None:
+        super().__init__(times, ios, phases)
+        self.final_clock = final_clock
+        self.final_io = final_io
+        self.completed = completed
+        self.broker_applied = broker_applied
+        self.wall_seconds = wall_seconds
 
-    @property
-    def recorder(self) -> RecorderSnapshot:
-        """Recorder-shaped view for the figure builders."""
-        return RecorderSnapshot(self.events, self.final_io)
+    def __reduce__(self):
+        # The columns and counters only: boxed events are rebuilt lazily.
+        return (
+            CellResult,
+            (
+                self._times,
+                self._ios,
+                self._phases,
+                self.final_clock,
+                self.final_io,
+                self.completed,
+                self.broker_applied,
+                self.wall_seconds,
+            ),
+        )
 
-
-def build_operator(spec: CellSpec) -> StreamingJoinOperator:
-    """Instantiate the (unbound) operator a cell spec describes."""
-    params = dict(spec.operator_params)
-    if spec.operator == "hmj":
-        policy_name = params.pop("policy", "adaptive")
-        if policy_name not in _POLICIES:
-            raise ConfigurationError(
-                f"unknown policy {policy_name!r}; choose from {sorted(_POLICIES)}"
-            )
-        return HashMergeJoin(HMJConfig(policy=_POLICIES[policy_name](), **params))
-    if spec.operator == "xjoin":
-        return XJoin(**params)
-    return ProgressiveMergeJoin(**params)
+    def _io_without_results(self) -> int:
+        return self.final_io
 
 
 #: Per-process relation memo: workers regenerate each workload once,
@@ -258,7 +193,10 @@ def run_cell(spec: CellSpec) -> CellResult:
     a module-level function so it pickles by reference.
     """
     rel_a, rel_b = _relations(spec.workload)
-    operator = build_operator(spec)
+    params = dict(spec.operator_params)
+    operator = make_operator(
+        spec.operator, params.pop("memory_capacity"), **params
+    )
     broker = (
         ResourceBroker([(t, m) for t, m in spec.memory_schedule])
         if spec.memory_schedule
@@ -278,10 +216,10 @@ def run_cell(spec: CellSpec) -> CellResult:
         broker=broker,
     )
     wall = time.perf_counter() - started
+    # The recorder's own column lists: the run is over, so nothing
+    # appends to them again, and no per-result event is boxed.
     return CellResult(
-        # An explicit list snapshot: CellResult is pickled across the
-        # process pool and outlives the recorder backing the view.
-        events=list(result.recorder.iter_events()),
+        *result.recorder.columns(),
         final_clock=result.clock.now,
         final_io=result.disk.io_count,
         completed=result.completed,

@@ -11,6 +11,11 @@ Four subcommands::
 metrics; ``compare`` runs several operators over the identical stream
 and prints the side-by-side time/I-O curves; ``figures`` and
 ``ablations`` invoke the paper-reproduction harness.
+
+``run`` and ``compare`` turn their flags into a
+:class:`~repro.service.spec.QuerySpec` and run what
+:meth:`QuerySpec.build <repro.service.spec.QuerySpec.build>` builds —
+the same query a ``repro serve`` tenant submitting that spec gets.
 """
 
 from __future__ import annotations
@@ -22,24 +27,15 @@ from typing import Sequence
 from repro.bench import ablations as _ablations
 from repro.bench import figures as _figures
 from repro.bench.scale import BenchScale
-from repro.joins.base import StreamingJoinOperator
+from repro.errors import ConfigurationError
 from repro.metrics.export import recorder_to_csv, series_to_csv
-from repro.metrics.recorder import MetricsRecorder
 from repro.metrics.report import format_comparison, format_table
 from repro.metrics.series import sample_ks, series_from_recorder
-from repro.net.arrival import ArrivalProcess
-from repro.errors import ConfigurationError
-from repro.net.source import NetworkSource
-from repro.service.spec import (
-    ALGORITHMS,
-    ARRIVALS,
-    POLICIES,
-    make_arrival,
-    make_operator,
-)
+from repro.service.spec import ALGORITHMS, ARRIVALS, POLICIES, QuerySpec
 from repro.sim.broker import ResourceBroker
-from repro.sim.engine import run_join
-from repro.workloads.generator import WorkloadSpec, make_relation_pair
+
+#: QuerySpec fields a ``run``/``compare`` flag sets under the same name.
+_SPEC_FIELDS = frozenset(QuerySpec.__dataclass_fields__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,31 +207,11 @@ def _add_operator_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_arrival(args: argparse.Namespace, rate: float) -> ArrivalProcess:
-    return make_arrival(args.arrival, rate, args.n)
-
-
-def _make_operator(name: str, memory: int, args: argparse.Namespace) -> StreamingJoinOperator:
-    return make_operator(
-        name,
-        memory,
-        n_buckets=args.n_buckets,
-        flush_fraction=args.flush_fraction,
-        fan_in=args.fan_in,
-        policy=args.policy,
-    )
-
-
-def _spec_from(args: argparse.Namespace) -> WorkloadSpec:
-    key_range = args.key_range if args.key_range is not None else 2 * args.n
-    return WorkloadSpec(
-        n_a=args.n,
-        n_b=args.n,
-        key_range=key_range,
-        distribution=args.distribution,
-        zipf_theta=args.zipf_theta,
-        seed=args.seed,
-    )
+def _query_spec(args: argparse.Namespace, algorithm: str) -> QuerySpec:
+    """The :class:`QuerySpec` a ``run``/``compare`` invocation describes."""
+    fields = {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS}
+    fields.update(algorithm=algorithm, journal=getattr(args, "timeline", False))
+    return QuerySpec(**fields)
 
 
 def _parse_memory_schedule(text: str) -> list[tuple[float, int]]:
@@ -257,45 +233,26 @@ def _parse_memory_schedule(text: str) -> list[tuple[float, int]]:
     return grants
 
 
-def _run_one(
-    name: str, args: argparse.Namespace, spec: WorkloadSpec
-):
-    rel_a, rel_b = make_relation_pair(spec)
-    rate = args.rate if args.rate is not None else args.n / 2.0
-    src_a = NetworkSource(rel_a, _make_arrival(args, rate * args.rate_skew), seed=11)
-    src_b = NetworkSource(rel_b, _make_arrival(args, rate), seed=22)
-    memory = spec.memory_capacity(args.memory_fraction)
-    operator = _make_operator(name, memory, args)
-    schedule = getattr(args, "memory_schedule", None)
-    broker = (
-        ResourceBroker(_parse_memory_schedule(schedule))
-        if schedule is not None
-        else None
-    )
-    result = run_join(
-        src_a,
-        src_b,
-        operator,
-        blocking_threshold=args.blocking_threshold,
-        keep_results=False,
-        stop_after=getattr(args, "stop_after", None),
-        journal=getattr(args, "timeline", False),
-        broker=broker,
-    )
-    return operator, result, broker
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = _spec_from(args)
-    try:
-        operator, result, broker = _run_one(args.algorithm, args, spec)
-    except ConfigurationError as exc:
-        print(f"error: {exc}")
-        return 2
+    spec = _query_spec(args, args.algorithm)
+    query = spec.build()
+    broker = None
+    if args.memory_schedule is not None:
+        # Bound and installed exactly as PlanExecutor does for a broker
+        # handed to run_join.
+        broker = ResourceBroker(_parse_memory_schedule(args.memory_schedule))
+        for label, operator in query.driver.operators():
+            broker.bind(operator, label=label)
+        broker.install(query.scheduler)
+    result = query.run()
     recorder = result.recorder
-    print(f"algorithm : {operator.name}")
-    print(f"workload  : {spec.n_a} x {spec.n_b} tuples, keys in [0, {spec.key_range})")
-    print(f"memory    : {spec.memory_capacity(args.memory_fraction)} tuples")
+    workload = spec.workload()
+    print(f"algorithm : {result.operator.name}")
+    print(
+        f"workload  : {workload.n_a} x {workload.n_b} tuples, "
+        f"keys in [0, {workload.key_range})"
+    )
+    print(f"memory    : {spec.memory_budget()} tuples")
     if broker is not None:
         fired = ", ".join(f"{g.time:g}s->{g.total}" for g in broker.applied)
         print(f"grants    : {fired or 'none fired before end of input'}")
@@ -304,9 +261,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"first result : {recorder.time_to_kth(1):.4f} virtual s")
         print(f"last result  : {recorder.total_time():.4f} virtual s")
         print(f"total I/O    : {recorder.total_io()} pages")
-        phases = sorted(
-            {e.phase for e in recorder.events},
-        )
+        _, _, phase_column = recorder.columns()
+        phases = sorted(set(phase_column))
         split = ", ".join(f"{p}={recorder.count_in_phase(p)}" for p in phases)
         print(f"phase split  : {split}")
     if args.series and recorder.count:
@@ -330,25 +286,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown algorithms: {unknown}; choose from {ALGORITHMS}")
         return 2
-    spec = _spec_from(args)
-    recorders: dict[str, MetricsRecorder] = {}
+    recorders = {}
     for name in names:
-        operator, result, _ = _run_one(name, args, spec)
-        recorders[operator.name] = result.recorder
+        result = _query_spec(args, name).build().run()
+        recorders[result.operator.name] = result.recorder
     count = min(r.count for r in recorders.values())
     if count == 0:
         print("no results produced")
         return 1
     ks = sample_ks(count, n_samples=12)
-    print(
-        format_comparison(
-            [
-                series_from_recorder(rec, name, metric="time", ks=ks)
-                for name, rec in recorders.items()
-            ],
-            title="time to the k-th result [virtual s]",
-        )
-    )
+    time_series = [
+        series_from_recorder(rec, name, metric="time", ks=ks)
+        for name, rec in recorders.items()
+    ]
+    print(format_comparison(time_series, title="time to the k-th result [virtual s]"))
     print()
     print(
         format_comparison(
@@ -366,13 +317,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ]
     print(format_table(["operator", "results", "total time [s]", "total I/O"], rows))
     if args.csv:
-        n = series_to_csv(
-            [
-                series_from_recorder(rec, name, metric="time", ks=ks)
-                for name, rec in recorders.items()
-            ],
-            args.csv,
-        )
+        n = series_to_csv(time_series, args.csv)
         print(f"wrote {n} series rows to {args.csv}")
     return 0
 
@@ -411,10 +356,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point used by ``python -m repro`` and the tests."""
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "compare":
-        return cmd_compare(args)
+    if args.command in ("run", "compare"):
+        command = cmd_run if args.command == "run" else cmd_compare
+        try:
+            return command(args)
+        except ConfigurationError as exc:
+            print(f"error: {exc}")
+            return 2
     if args.command == "figures":
         return _figures.run_figure_suite(
             args.names,

@@ -556,23 +556,12 @@ class DualHashTable:
         self._summary.add(t.source, self._group_of(bucket))
         return bucket
 
-    def probe(self, t: Tuple) -> tuple[list[Tuple], int]:
-        """Match ``t`` against the opposite source's bucket (Step 3).
-
-        Returns ``(matches, candidates_compared)`` — the second value
-        is the bucket population, which is what the probe CPU charge
-        is based on.
-        """
-        other = SOURCE_B if t.source == SOURCE_A else SOURCE_A
-        slot = self._first_slot(other) + self.bucket_of(t.key)
-        matches, candidates = self._arena.probe(t.key, slot, other)
-        return list(matches), candidates
-
     def probe_insert(self, t: Tuple) -> tuple[Sequence[Tuple], int, int]:
         """Fused probe + insert for the per-tuple hot path.
 
-        Behaviourally identical to :meth:`probe` followed by
-        :meth:`insert`, but the bucket hash is computed once, the
+        Matches ``t`` against the opposite source's bucket (Figure 3,
+        Step 3), then stores it like :meth:`insert` — but the bucket
+        hash is computed once, the
         summary update skips per-call validation, and an empty or
         matchless opposite bucket costs no allocation at all.  Returns
         ``(matches, candidates, bucket)`` — the extra bucket index

@@ -19,7 +19,7 @@ from repro.metrics.export import (
     series_to_csv,
     series_to_markdown,
 )
-from repro.metrics.recorder import MetricsRecorder, ResultEvent
+from repro.metrics.recorder import MetricsRecorder, ResultColumns, ResultEvent
 from repro.metrics.summary import (
     PhaseSegment,
     RunSummary,
@@ -36,6 +36,7 @@ __all__ = [
     "PhaseSegment",
     "ProgressEstimator",
     "SelectivityEstimator",
+    "ResultColumns",
     "ResultEvent",
     "RunSummary",
     "Series",

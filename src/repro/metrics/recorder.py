@@ -11,7 +11,9 @@ Storage is columnar: the recorder holds three parallel scalar columns
 :class:`ResultEvent` rows — and retained :class:`JoinResult` tuples
 from column segments — lazily, on first access.  Per-event consumers
 (taps, the per-tuple delivery path) see the exact same objects and
-ordering they always did.
+ordering they always did.  The read API over the columns lives in
+:class:`ResultColumns`, shared by the live recorder and by the bench
+grid's finished-run results.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ class ReadOnlyView(Sequence[T]):
 
     def __eq__(self, other: object):
         if isinstance(other, ReadOnlyView):
-            return self._items == other._items
+            # Iterating fills a lazy view before its items are compared.
+            return self._items == list(other)
         if isinstance(other, list):
             return self._items == other
         if isinstance(other, tuple):
@@ -138,42 +141,29 @@ class ResultEvent:
     phase: str
 
 
-class MetricsRecorder:
-    """Accumulates :class:`ResultEvent` rows during a simulation run.
+class ResultColumns:
+    """The result-query API over three parallel columns (time, io, phase).
 
-    The recorder optionally retains the result tuples themselves
-    (``keep_results=True``, the default) so correctness checks can
-    compare the output multiset against an oracle; large benchmark runs
-    can disable retention to save memory while keeping all metrics.
+    :class:`MetricsRecorder` extends the columns while a run emits; the
+    bench grid's ``CellResult`` holds a finished run's columns.  Both
+    answer every query through this one implementation, and both box
+    :class:`ResultEvent` rows lazily, only when ``events`` is read.
+    Subclasses say what ``total_io`` reports for a run without results.
     """
 
+    __slots__ = ("_times", "_ios", "_phases", "_events", "_events_view")
+
     def __init__(
-        self,
-        clock: VirtualClock,
-        disk: SimulatedDisk,
-        keep_results: bool = True,
+        self, times: list[float], ios: list[int], phases: list[str]
     ) -> None:
-        self._clock = clock
-        self._disk = disk
-        self._keep_results = keep_results
-        # The authoritative storage: three parallel scalar columns.
-        self._times: list[float] = []
-        self._ios: list[int] = []
-        self._phases: list[str] = []
-        # Lazily boxed prefixes of the columns above.
+        self._times = times
+        self._ios = ios
+        self._phases = phases
+        # Lazily boxed prefix of the columns above.
         self._events: list[ResultEvent] = []
-        self._results: list[JoinResult] = []
-        # Column segments whose JoinResults are not yet boxed; drained
-        # into _results in order on first access.
-        self._pending_results: list = []
         self._events_view: ReadOnlyView[ResultEvent] = _LazyView(
             self._events, self._materialise_events
         )
-        self._results_view: ReadOnlyView[JoinResult] = _LazyView(
-            self._results, self._drain_pending_results
-        )
-        self._taps: list[Callable[[JoinResult, ResultEvent], None]] = []
-        self._last_time = 0.0
 
     @property
     def count(self) -> int:
@@ -181,28 +171,9 @@ class MetricsRecorder:
         return len(self._times)
 
     @property
-    def keep_results(self) -> bool:
-        """Whether result tuples are retained."""
-        return self._keep_results
-
-    @property
-    def needs_results(self) -> bool:
-        """Whether appends must supply the result tuples.
-
-        False only when results are neither retained nor observed by a
-        tap — then the columnar path may skip building them entirely.
-        """
-        return self._keep_results or bool(self._taps)
-
-    @property
     def events(self) -> ReadOnlyView[ResultEvent]:
         """All recorded events, in emission order (zero-copy, live)."""
         return self._events_view
-
-    @property
-    def results(self) -> ReadOnlyView[JoinResult]:
-        """Retained result tuples (empty when ``keep_results=False``)."""
-        return self._results_view
 
     def _materialise_events(self) -> None:
         events = self._events
@@ -221,16 +192,109 @@ class MetricsRecorder:
             )
         )
 
-    def _drain_pending_results(self) -> None:
-        if self._pending_results:
-            for segment in self._pending_results:
-                self._results.extend(segment.materialise())
-            self._pending_results.clear()
+    def columns(self) -> tuple[list[float], list[int], list[str]]:
+        """The backing ``(times, ios, phases)`` lists (no copy; read only)."""
+        return self._times, self._ios, self._phases
 
     def iter_events(self) -> Iterator[ResultEvent]:
         """Non-copying iteration over the recorded events."""
         self._materialise_events()
         return iter(self._events)
+
+    def time_to_kth(self, k: int) -> float:
+        """Virtual time at which the k-th result appeared."""
+        self._check_k(k)
+        return self._times[k - 1]
+
+    def io_to_kth(self, k: int) -> int:
+        """Cumulative page I/Os when the k-th result appeared."""
+        self._check_k(k)
+        return self._ios[k - 1]
+
+    def total_time(self) -> float:
+        """Virtual time of the final result (0.0 if none were produced)."""
+        if not self._times:
+            return 0.0
+        return self._times[-1]
+
+    def total_io(self) -> int:
+        """Cumulative page I/Os at the final result (run's disk total if none)."""
+        if not self._ios:
+            return self._io_without_results()
+        return self._ios[-1]
+
+    def count_in_phase(self, phase: str) -> int:
+        """Number of results the given phase produced."""
+        return sum(1 for p in self._phases if p == phase)
+
+    def _io_without_results(self) -> int:
+        """What :meth:`total_io` reports when no result was recorded."""
+        raise NotImplementedError
+
+    def _check_k(self, k: int) -> None:
+        if k < 1:
+            raise ConfigurationError(f"k must be >= 1, got {k}")
+        if k > len(self._times):
+            raise ConfigurationError(
+                f"only {len(self._times)} results recorded; k={k} unavailable"
+            )
+
+
+class MetricsRecorder(ResultColumns):
+    """Accumulates :class:`ResultEvent` rows during a simulation run.
+
+    The recorder optionally retains the result tuples themselves
+    (``keep_results=True``, the default) so correctness checks can
+    compare the output multiset against an oracle; large benchmark runs
+    can disable retention to save memory while keeping all metrics.
+    """
+
+    def __init__(
+        self,
+        clock: VirtualClock,
+        disk: SimulatedDisk,
+        keep_results: bool = True,
+    ) -> None:
+        self._clock = clock
+        self._disk = disk
+        self._keep_results = keep_results
+        # The authoritative storage: three parallel scalar columns.
+        super().__init__([], [], [])
+        # Lazily boxed prefix of the retained results.
+        self._results: list[JoinResult] = []
+        # Column segments whose JoinResults are not yet boxed; drained
+        # into _results in order on first access.
+        self._pending_results: list = []
+        self._results_view: ReadOnlyView[JoinResult] = _LazyView(
+            self._results, self._drain_pending_results
+        )
+        self._taps: list[Callable[[JoinResult, ResultEvent], None]] = []
+        self._last_time = 0.0
+
+    @property
+    def keep_results(self) -> bool:
+        """Whether result tuples are retained."""
+        return self._keep_results
+
+    @property
+    def needs_results(self) -> bool:
+        """Whether appends must supply the result tuples.
+
+        False only when results are neither retained nor observed by a
+        tap — then the columnar path may skip building them entirely.
+        """
+        return self._keep_results or bool(self._taps)
+
+    @property
+    def results(self) -> ReadOnlyView[JoinResult]:
+        """Retained result tuples (empty when ``keep_results=False``)."""
+        return self._results_view
+
+    def _drain_pending_results(self) -> None:
+        if self._pending_results:
+            for segment in self._pending_results:
+                self._results.extend(segment.materialise())
+            self._pending_results.clear()
 
     def triple(self) -> tuple[int, float, int]:
         """The ``(count, clock now, io count)`` determinism triple.
@@ -369,36 +433,5 @@ class MetricsRecorder:
             n += 1
         return n
 
-    def time_to_kth(self, k: int) -> float:
-        """Virtual time at which the k-th result appeared."""
-        self._check_k(k)
-        return self._times[k - 1]
-
-    def io_to_kth(self, k: int) -> int:
-        """Cumulative page I/Os when the k-th result appeared."""
-        self._check_k(k)
-        return self._ios[k - 1]
-
-    def total_time(self) -> float:
-        """Virtual time of the final result (0.0 if none were produced)."""
-        if not self._times:
-            return 0.0
-        return self._times[-1]
-
-    def total_io(self) -> int:
-        """Cumulative page I/Os at the final result (live disk total if none)."""
-        if not self._ios:
-            return self._disk.io_count
-        return self._ios[-1]
-
-    def count_in_phase(self, phase: str) -> int:
-        """Number of results the given phase produced."""
-        return sum(1 for p in self._phases if p == phase)
-
-    def _check_k(self, k: int) -> None:
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        if k > len(self._times):
-            raise ConfigurationError(
-                f"only {len(self._times)} results recorded; k={k} unavailable"
-            )
+    def _io_without_results(self) -> int:
+        return self._disk.io_count

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.metrics.recorder import MetricsRecorder
+from repro.metrics.recorder import MetricsRecorder, ResultColumns
 
 
 @dataclass(slots=True)
@@ -67,7 +67,7 @@ def sample_ks(total: int, n_samples: int = 40) -> list[int]:
 
 
 def series_from_recorder(
-    recorder: MetricsRecorder,
+    recorder: ResultColumns,
     name: str,
     metric: str = "time",
     ks: list[int] | None = None,

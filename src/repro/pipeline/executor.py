@@ -581,7 +581,6 @@ def stream_plan(
     stop_after: int | None = None,
     journal: bool = False,
     broker: ResourceBroker | None = None,
-    batch_delivery: bool = True,
     checks=None,
 ) -> ResultStream:
     """Iterate a plan's root results as they are produced.
@@ -599,7 +598,6 @@ def stream_plan(
         stop_after=stop_after,
         journal=journal,
         broker=broker,
-        batch_delivery=batch_delivery,
         checks=checks,
     )
     return ResultStream(executor)

@@ -3,9 +3,10 @@
 One :class:`QuerySpec` describes everything a two-source streaming
 join needs — workload shape, arrival model, operator and its knobs,
 stop condition, arbitration weight — in plain scalars, so it
-round-trips through JSON for the socket server and stays importable
-by the CLI (whose ``run``/``compare`` subcommands share the same
-operator and arrival factories).
+round-trips through JSON for the socket server.  The CLI's
+``run``/``compare`` subcommands build a spec from their flags and run
+:meth:`QuerySpec.build`, and the bench grid builds its operators with
+:func:`make_operator`, so every entry point shares one run builder.
 """
 
 from __future__ import annotations

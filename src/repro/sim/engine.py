@@ -234,7 +234,6 @@ def stream_join(
     spill_dir: str | None = None,
     journal: bool = False,
     broker: ResourceBroker | None = None,
-    batch_delivery: bool = True,
     checks=None,
 ) -> ResultStream:
     """Iterate a streaming join's results as they are produced.
@@ -264,7 +263,6 @@ def stream_join(
         spill_dir=spill_dir,
         journal=journal,
         broker=broker,
-        batch_delivery=batch_delivery,
         checks=checks,
     )
     return ResultStream(sim)

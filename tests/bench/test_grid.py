@@ -9,7 +9,6 @@ from repro.bench.figures import FIGURE_GRIDS
 from repro.bench.grid import (
     CellSpec,
     GridRunner,
-    RecorderSnapshot,
     build_arrival,
     bursty_arrival,
     constant_arrival,
@@ -19,6 +18,7 @@ from repro.bench.grid import (
 from repro.bench.scale import BenchScale
 from repro.errors import ConfigurationError
 from repro.net.arrival import BurstyArrival, ConstantRate
+from repro.workloads.generator import WorkloadSpec
 
 SCALE = BenchScale(n_per_source=200, seed=5)
 
@@ -70,18 +70,77 @@ def test_run_cell_is_deterministic_across_calls():
     assert first.count > 0
 
 
-def test_cell_result_snapshot_mirrors_recorder_api():
-    result = run_cell(_cell())
-    rec = result.recorder
-    assert isinstance(rec, RecorderSnapshot)
-    assert rec.count == result.count
-    assert rec.time_to_kth(1) <= rec.total_time()
-    assert rec.io_to_kth(rec.count) == rec.total_io()
-    assert sum(rec.count_in_phase(p) for p in {e.phase for e in rec.events}) == rec.count
-    with pytest.raises(ConfigurationError):
-        rec.time_to_kth(0)
-    with pytest.raises(ConfigurationError):
-        rec.time_to_kth(rec.count + 1)
+def _cell_and_live_recorder(monkeypatch, spec):
+    """Run ``spec`` through run_cell, keeping the run's live recorder."""
+    import repro.bench.grid as grid
+
+    runs = []
+    real_execute = grid.execute
+
+    def capturing_execute(*args, **kwargs):
+        runs.append(real_execute(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(grid, "execute", capturing_execute)
+    result = run_cell(spec)
+    (run,) = runs
+    return result, run
+
+
+def _assert_answers_like(cell, live, final_io):
+    assert cell.count == live.count
+    assert cell.events == live.events
+    assert list(cell.iter_events()) == list(live.iter_events())
+    assert cell.total_time() == live.total_time()
+    assert cell.total_io() == live.total_io()
+    for k in range(1, live.count + 1):
+        assert cell.time_to_kth(k) == live.time_to_kth(k)
+        assert cell.io_to_kth(k) == live.io_to_kth(k)
+    for phase in {e.phase for e in live.events} | {"no-such-phase"}:
+        assert cell.count_in_phase(phase) == live.count_in_phase(phase)
+    for bad_k in (0, live.count + 1):
+        with pytest.raises(ConfigurationError):
+            cell.time_to_kth(bad_k)
+        with pytest.raises(ConfigurationError):
+            cell.io_to_kth(bad_k)
+    assert cell.final_io == final_io
+
+
+_NO_MATCHES = WorkloadSpec(n_a=60, n_b=60, key_range=10**12, seed=3)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _cell("hmj"),
+        _cell("xjoin", operator="xjoin"),
+        _cell("pmj", operator="pmj"),
+        _cell("first-k", stop_after=25),
+        _cell(
+            "empty",
+            workload=_NO_MATCHES,
+            operator_params=(("memory_capacity", 10),),
+        ),
+    ],
+    ids=lambda spec: spec.cell_id,
+)
+def test_cell_result_answers_like_the_live_recorder(monkeypatch, spec):
+    result, run = _cell_and_live_recorder(monkeypatch, spec)
+    live = run.recorder
+    assert result.final_clock == run.clock.now
+    assert result.completed == run.completed
+    _assert_answers_like(result, live, run.disk.io_count)
+    # The bench cache stores pickles: the round trip answers the same.
+    _assert_answers_like(
+        pickle.loads(pickle.dumps(result)), live, run.disk.io_count
+    )
+    if spec.cell_id == "first-k":
+        assert result.count == 25 and not result.completed
+    if spec.cell_id == "empty":
+        # No results: total_io falls back to the run's final disk count.
+        assert result.count == 0
+        assert result.final_io > 0
+        assert result.total_io() == result.final_io
 
 
 # -- the runner --------------------------------------------------------------

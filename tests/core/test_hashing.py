@@ -129,7 +129,7 @@ def test_probe_matches_only_equal_keys_in_opposite_source():
     table.insert(t(key=5, tid=0, source=SOURCE_B))
     table.insert(t(key=6, tid=1, source=SOURCE_B))
     table.insert(t(key=5, tid=2, source=SOURCE_A))
-    matches, candidates = table.probe(t(key=5, tid=9, source=SOURCE_A))
+    matches, candidates, _ = table.probe_insert(t(key=5, tid=9, source=SOURCE_A))
     assert [m.tid for m in matches] == [0]
     assert candidates == 2  # whole opposite bucket scanned
 
@@ -137,8 +137,8 @@ def test_probe_matches_only_equal_keys_in_opposite_source():
 def test_probe_does_not_match_own_source():
     table = DualHashTable(4, 2)
     table.insert(t(key=5, tid=0, source=SOURCE_A))
-    matches, _ = table.probe(t(key=5, tid=1, source=SOURCE_A))
-    assert matches == []
+    matches, _, _ = table.probe_insert(t(key=5, tid=1, source=SOURCE_A))
+    assert list(matches) == []
 
 
 def test_extract_group_removes_and_returns_everything():
@@ -224,10 +224,11 @@ def test_probe_insert_matches_probe_then_insert():
     rng = random.Random(7)
     fused = DualHashTable(16, 4)
     naive = DualHashTable(16, 4)
+    model = _Model(naive)  # the probe, modelled on a dict of lists
     for i in range(600):
         source = SOURCE_A if rng.random() < 0.5 else SOURCE_B
         tup = t(rng.randrange(40), tid=i, source=source)
-        expected_matches, expected_candidates = naive.probe(tup)
+        expected_matches, expected_candidates, _ = model.probe_insert(tup)
         naive.insert(tup)
         matches, candidates, bucket = fused.probe_insert(tup)
         assert list(matches) == expected_matches

@@ -180,3 +180,89 @@ def test_serve_defaults_omit_optional_flags(monkeypatch):
     )
     main(["serve"])
     assert captured["argv"] == ["--host", "127.0.0.1", "--port", "7654"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "500", "--fan-in", "1"],
+    ["compare", "--n", "500", "--fan-in", "1"],
+    ["run", "--n", "500", "--memory-fraction", "0"],
+    ["compare", "--n", "500", "--memory-fraction", "0"],
+    ["run", "--n", "300", "--algorithm", "shj", "--memory-schedule", "0.2:40"],
+])
+def test_bad_settings_print_an_error_and_exit_2(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.startswith("error: ")
+
+
+# -- parity with hand-built runs -------------------------------------------
+
+
+def _hand_built_run(algorithm, n, broker=None, **run_kwargs):
+    """run_join over sources and an operator built without QuerySpec."""
+    from repro.net.arrival import BurstyArrival, ConstantRate
+    from repro.net.source import NetworkSource
+    from repro.service.spec import make_operator
+    from repro.sim.engine import run_join
+    from repro.workloads.generator import WorkloadSpec, make_relation_pair
+
+    workload = WorkloadSpec(n_a=n, n_b=n, key_range=2 * n, seed=7)
+    rel_a, rel_b = make_relation_pair(workload)
+    rate = n / 2.0
+    if run_kwargs.pop("bursty", False):
+        arrivals = [
+            BurstyArrival(burst_size=n // 20, intra_gap=1 / rate, mean_silence=0.5)
+            for _ in range(2)
+        ]
+    else:
+        arrivals = [ConstantRate(rate), ConstantRate(rate)]
+    return run_join(
+        NetworkSource(rel_a, arrivals[0], seed=11),
+        NetworkSource(rel_b, arrivals[1], seed=22),
+        make_operator(algorithm, workload.memory_capacity(0.10)),
+        blocking_threshold=0.05,
+        keep_results=False,
+        broker=broker,
+        **run_kwargs,
+    )
+
+
+def test_run_prints_the_numbers_of_a_hand_built_run(capsys):
+    from repro.sim.broker import ResourceBroker
+
+    broker = ResourceBroker([(0.2, 40), (0.5, 500)])
+    expected = _hand_built_run(
+        "hmj", 2000, broker=broker, bursty=True, stop_after=700, journal=True
+    )
+    rec = expected.recorder
+    code, out = run_cli(
+        capsys, "run", "--n", "2000", "--arrival", "bursty",
+        "--memory-schedule", "0.2:40,0.5:500", "--stop-after", "700",
+        "--timeline",
+    )
+    assert code == 0
+    fired = ", ".join(f"{g.time:g}s->{g.total}" for g in broker.applied)
+    assert f"grants    : {fired}\n" in out
+    assert f"results   : {rec.count}\n" in out
+    assert f"first result : {rec.time_to_kth(1):.4f} virtual s\n" in out
+    assert f"last result  : {rec.total_time():.4f} virtual s\n" in out
+    assert f"total I/O    : {rec.total_io()} pages\n" in out
+    split = ", ".join(
+        f"{p}={rec.count_in_phase(p)}" for p in sorted({e.phase for e in rec.events})
+    )
+    assert f"phase split  : {split}\n" in out
+    assert expected.journal.render(limit=40) in out
+
+
+def test_compare_prints_the_numbers_of_hand_built_runs(capsys):
+    from repro.metrics.report import format_table
+
+    rows = []
+    for name in ("hmj", "xjoin", "pmj"):
+        result = _hand_built_run(name, 600)
+        rec = result.recorder
+        rows.append([result.operator.name, rec.count, rec.total_time(), rec.total_io()])
+    code, out = run_cli(capsys, "compare", "--n", "600")
+    assert code == 0
+    table = format_table(["operator", "results", "total time [s]", "total I/O"], rows)
+    assert table in out

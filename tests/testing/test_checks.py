@@ -111,12 +111,11 @@ class _DuplicatingSHJ(SymmetricHashJoin):
 
     def on_tuple(self, t):
         self.charge_tuple()
-        matches, candidates = self.table.probe(t)
+        matches, candidates, _ = self.table.probe_insert(t)
         self.charge_probe(candidates)
         for match in matches:
             self.emit(t, match, self.PHASE)
             self.emit(t, match, self.PHASE)
-        self.table.insert(t)
 
 
 class _NeverFinishingSHJ(SymmetricHashJoin):

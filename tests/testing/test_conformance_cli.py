@@ -120,12 +120,11 @@ def test_main_writes_report_and_exits_zero(tmp_path, capsys):
 class _DuplicatingSHJ(SymmetricHashJoin):
     def on_tuple(self, t):
         self.charge_tuple()
-        matches, candidates = self.table.probe(t)
+        matches, candidates, _ = self.table.probe_insert(t)
         self.charge_probe(candidates)
         for match in matches:
             self.emit(t, match, self.PHASE)
             self.emit(t, match, self.PHASE)
-        self.table.insert(t)
 
 
 def test_main_exits_nonzero_on_violation(tmp_path, capsys, monkeypatch):
